@@ -20,14 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .conic import LinearProgramSpec, SolveStatus, solve_lp
-from .cvar import solve_cvar
+from .cvar import _solve_hinge, solve_cvar
 from .errors import InfeasibleProblem, NoFeasibleIncumbent, SolverFailure
 from .model import CcpInstance, Tolerances, chance_feasible, with_extra_domain_rows
 from .scaling import scaling_heuristic
 
 __all__ = ["BisectionStep", "BisectionReport", "lower_level", "alsox_sharp", "alsox_sharp_scaled"]
-
-_BETA_FLOOR = 1e9
 
 
 @dataclass(frozen=True)
@@ -74,45 +72,12 @@ def lower_level(
     cuts off the whole domain.
     """
     tol = tol or Tolerances()
-    n, N, J = instance.n, instance.N, instance.J
-    nv = n + 1 + N  # x, beta, s
-
-    scen = np.zeros((N * J, nv))
-    scen[:, :n] = instance.w_stack
-    scen[:, n] = -1.0
-    scen[np.arange(N * J), n + 1 + np.repeat(np.arange(N), J)] = -1.0
-    rows = [scen]
-    rhs = [-instance.d_stack]
-
-    if np.isfinite(t):
-        budget = np.zeros((1, nv))
-        budget[0, :n] = instance.c
-        rows.append(budget)
-        rhs.append(np.array([t]))
-    dom = instance.domain
-    if dom.P is not None:
-        ext = np.zeros((dom.P.shape[0], nv))
-        ext[:, :n] = dom.P
-        rows.append(ext)
-        rhs.append(dom.q)
-    floor = np.zeros((1, nv))
-    floor[0, n] = -1.0
-    rows.append(floor)
-    rhs.append(np.array([_BETA_FLOOR]))
-
-    c = np.zeros(nv)
-    c[n] = instance.epsilon
-    c[n + 1 :] = instance.probs
-    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(N)])
-    ub = np.concatenate([dom.ub, [0.0], np.full(N, np.inf)])
-    res = solve_lp(
-        LinearProgramSpec(c=c, A=np.vstack(rows), b=np.concatenate(rhs), lb=lb, ub=ub), tol
-    )
-    if res.status == SolveStatus.INFEASIBLE:
+    sol = _solve_hinge(instance, np.ones(instance.N), tol, budget=t)
+    if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasibleProblem(f"budget {t!r} cuts off the whole domain")
-    if res.status != SolveStatus.OPTIMAL:
-        raise SolverFailure(f"lower-level LP ended with status {res.status.value}")
-    return res.z[:n], float(res.z[n]), float(res.objective)
+    if sol.status != SolveStatus.OPTIMAL:
+        raise SolverFailure(f"lower-level LP ended with status {sol.status.value}")
+    return sol.x, sol.beta, float(sol.objective)
 
 
 def _default_t_lower(instance: CcpInstance, tol: Tolerances) -> float:

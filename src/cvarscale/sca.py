@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import SocCone, SocpSpec, SolveResult, SolveStatus, solve_socp
+from .conic import SocCone, SocpSpec, SolveStatus, solve_socp
 from .cvar import solve_scaled_cvar
 from .errors import InfeasibleProblem, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, g_max_all
@@ -186,14 +186,6 @@ def _extract(instance: CcpInstance, relax_idx: np.ndarray, z: np.ndarray, alpha_
     return x, beta, s, alpha
 
 
-def _solve_subproblem(spec: SocpSpec) -> SolveResult:
-    res = solve_socp(spec, _INNER_TOL)
-    if res.status == SolveStatus.ITERATION_LIMIT and res.z is not None:
-        if res.primal_residual <= 1e-7 and res.dual_residual <= 1e-7:
-            return res
-    return res
-
-
 def _sca_loop(
     instance: CcpInstance,
     x0,
@@ -222,7 +214,7 @@ def _sca_loop(
             z_prev = _stack_point(instance, x, beta, s, alpha, relax_idx)
             if not point_feasible_in_subproblem(spec, z_prev, slack=1e-6):
                 raise SolverFailure("anchor admissibility violated; subproblem is malformed")
-        res = _solve_subproblem(spec)
+        res = solve_socp(spec, _INNER_TOL)
         if res.status in (SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT) and res.z is not None:
             x, beta, s, alpha = _extract(instance, relax_idx, res.z, tol.alpha_max)
             objective = res.objective

@@ -93,6 +93,28 @@ class TestScaledApproximation:
 
 
 class TestFixedPointFeasibility:
+    def test_lp_rows_match_loop_construction(self, monkeypatch):
+        from cvarscale import cvar
+        from cvarscale.conic import solve_lp
+        from tests.conftest import single_row_instance
+
+        inst = single_row_instance([1], [[-1], [2], [0.5], [3]], [1, -4, 0.5, -1], 0.3, "rows")
+        seen = []
+        monkeypatch.setattr(cvar, "solve_lp", lambda spec, tol: seen.append(spec) or solve_lp(spec))
+        scaled_feasibility_at_x(inst, [1.0])
+        worst = np.array([0.0, -2.0, 1.0, 2.0])
+        N = inst.N
+        rows = np.zeros((N + 2, 2 * N + 1))
+        for i in range(N):
+            rows[i, i] = worst[i]
+            rows[i, N] = -1.0
+            rows[i, N + 1 + i] = -1.0
+        rows[N, N] = inst.epsilon
+        rows[N, N + 1 :] = inst.probs
+        rows[N + 1, N] = -1.0
+        assert np.array_equal(seen[0].A, rows)
+        assert seen[0].b.tolist() == [0.0] * (N + 1) + [1e9]
+
     def test_line_instance_at_origin(self, line_four):
         triple = scaled_feasibility_at_x(line_four, [0.0])
         assert triple is not None
@@ -127,6 +149,21 @@ class TestTailEvaluation:
 
         inst = single_row_instance([1], [[0]] * 4, [3.5] * 4, 0.3, "constant")
         assert evaluate_cvar_at_x(inst, [0.0]) == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_breakpoint_sweep(self, seed):
+        from tests.conftest import single_row_instance
+
+        rng = np.random.default_rng(100 + seed)
+        N = int(rng.integers(2, 30))
+        vals = rng.integers(-5, 6, size=N).astype(float)  # many ties
+        probs = rng.dirichlet(np.ones(N)).tolist()
+        eps = float(rng.uniform(0.05, 0.95))
+        inst = single_row_instance([1], [[0]] * N, vals, eps, "sweep", probs=probs)
+        p = inst.probs
+        sweep = min(b + float(p @ np.maximum(vals - b, 0.0)) / eps for b in np.unique(vals))
+        got = evaluate_cvar_at_x(inst, [0.0])
+        assert got == pytest.approx(sweep, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_grid_oracle(self, seed):

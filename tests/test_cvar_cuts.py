@@ -1,0 +1,138 @@
+"""Differential test: the hinge-cut solver against the explicit LP oracle.
+
+The cut solver is called directly, so the size rule that picks the path in
+``solve_scaled_cvar`` and ``alsox.lower_level`` cannot bypass it.  Statuses
+must match, objectives must agree to 1e-9 relative, and the recovered
+(x, beta, s) must satisfy every row and bound of the explicit LP to 1e-9.
+"""
+
+import numpy as np
+import pytest
+
+from cvarscale import CcpInstance, Domain, Scenario, Tolerances
+from cvarscale.bench import GeneratorConfig, generate
+from cvarscale.alsox import _default_t_lower
+from cvarscale.conic import SolveStatus, solve_lp
+from cvarscale.cvar import _solve_by_cuts, build_scaled_cvar_lp
+from tests.conftest import single_row_instance
+from tests.test_acceptance import _mixed_instance
+
+TOL = Tolerances()
+
+
+def assert_agree(inst, alpha=None, budget=None):
+    """Solve both ways and compare; returns the common status."""
+    alpha = np.ones(inst.N) if alpha is None else np.asarray(alpha, dtype=float)
+    spec = build_scaled_cvar_lp(inst, alpha, budget)
+    ref = solve_lp(spec, TOL)
+    got = _solve_by_cuts(inst, alpha, TOL, budget)
+    assert got.status == ref.status, inst.name
+    if ref.status != SolveStatus.OPTIMAL:
+        assert got.x is None
+        return ref.status
+    assert abs(got.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), inst.name
+    z = np.concatenate([got.x, [got.beta], got.s])
+    assert float(spec.c @ z) == pytest.approx(got.objective, rel=1e-12, abs=1e-12)
+    scale = 1.0 + np.abs(spec.A) @ np.abs(z) + np.abs(spec.b)
+    assert np.all(spec.A @ z - spec.b <= 1e-9 * scale), inst.name
+    assert np.all(z >= spec.lb - 1e-9) and np.all(z <= spec.ub + 1e-9), inst.name
+    return ref.status
+
+
+def corpus_head(count=50):
+    """The first acceptance-corpus instances (plain approximation feasible)."""
+    out, seed = [], 0
+    while len(out) < count:
+        inst = _mixed_instance(seed)
+        seed += 1
+        if solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).optimal:
+            out.append(inst)
+    return out
+
+
+def test_corpus_plain_and_scaled():
+    rng = np.random.default_rng(7)
+    for inst in corpus_head():
+        assert assert_agree(inst) == SolveStatus.OPTIMAL
+        assert_agree(inst, alpha=rng.uniform(1.0, 10.0, size=inst.N))
+
+
+def test_corpus_lower_level():
+    for inst in corpus_head():
+        plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
+        floor = _default_t_lower(inst, TOL)
+        assert assert_agree(inst, budget=plain) == SolveStatus.OPTIMAL
+        assert assert_agree(inst, budget=0.5 * (plain + floor)) == SolveStatus.OPTIMAL
+        assert assert_agree(inst, budget=np.inf) == SolveStatus.OPTIMAL
+        assert assert_agree(inst, budget=floor - 1.0) == SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_portfolio_200(seed):
+    inst = generate(GeneratorConfig(family="portfolio", n=20, N=200, epsilon=0.100333, seed=seed))
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+    alpha = np.random.default_rng(seed).uniform(1.0, 10.0, size=inst.N)
+    assert_agree(inst, alpha=alpha)
+    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
+    assert_agree(inst, budget=0.8 * plain)
+    assert_agree(inst, budget=np.inf)
+
+
+@pytest.mark.slow
+def test_portfolio_800():
+    inst = generate(GeneratorConfig(family="portfolio", n=20, N=800, epsilon=0.100333, seed=1))
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_covering_j3(seed):
+    inst = generate(GeneratorConfig(family="covering", n=20, N=60, J=3, epsilon=0.100333,
+                                    seed=seed))
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+    assert_agree(inst, alpha=np.random.default_rng(seed).uniform(1.0, 10.0, size=inst.N))
+    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
+    assert_agree(inst, budget=0.9 * plain)
+
+
+def test_line_four_infeasible(line_four):
+    assert assert_agree(line_four) == SolveStatus.INFEASIBLE
+
+
+def test_two_scenario_golden(two_scenario):
+    for a in (1.0, 2.0, 4.0, 50.0):
+        assert assert_agree(two_scenario, alpha=[1.0, a]) == SolveStatus.OPTIMAL
+    for t in (0.5, 2.0, np.inf):
+        assert assert_agree(two_scenario, budget=t) == SolveStatus.OPTIMAL
+    assert assert_agree(two_scenario, budget=-1.0) == SolveStatus.INFEASIBLE
+
+
+def test_unbounded_domain_bounded_problem():
+    # the first master (all-scenarios cut at the origin) leaves -x unbounded;
+    # the tail cut of scenario 1 caps x at 1
+    inst = single_row_instance([-1.0], [[1.0], [-1.0]], [-1.0, -5.0], 0.3, "boxed")
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+    sol = _solve_by_cuts(inst, np.ones(2), TOL, None)
+    assert sol.x == pytest.approx([1.0], abs=1e-9)
+
+
+def test_unbounded_problem():
+    inst = single_row_instance([-1.0], [[-1.0], [-2.0]], [-1.0, 0.5], 0.3, "ray")
+    assert assert_agree(inst) == SolveStatus.UNBOUNDED
+
+
+def test_free_variables():
+    rng = np.random.default_rng(3)
+    xi = rng.uniform(0.8, 1.2, size=(60, 2))
+    scen = tuple(Scenario(W=-xi[i][None, :], d=[1.0], p=1 / 60) for i in range(60))
+    inst = CcpInstance(c=[1.0, 1.5], scenarios=scen, epsilon=0.2,
+                       domain=Domain(lb=[-np.inf, 0.0], ub=[np.inf, np.inf]), name="free")
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+
+
+def test_tie_at_n_eps():
+    # every loss appears twice and N * eps = 10, so the tail boundary is a tie
+    base = generate(GeneratorConfig(family="portfolio", n=6, N=20, epsilon=0.25, seed=4))
+    scen = tuple(Scenario(W=s.W, d=s.d, p=1 / 40) for s in base.scenarios * 2)
+    inst = CcpInstance(c=base.c, scenarios=scen, epsilon=0.25, domain=base.domain, name="ties")
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+    assert assert_agree(inst, budget=np.inf) == SolveStatus.OPTIMAL
