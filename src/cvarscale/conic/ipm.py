@@ -15,10 +15,11 @@ per-iteration cost dominated by one Cholesky factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .types import SocpSpec, SolveResult, SolveStatus
 
@@ -29,6 +30,51 @@ _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-8
 _STEP_DAMP = 0.99
 _REG = 1e-12
+
+# LAPACK Cholesky factor/solve, called directly: the problems are small, so
+# the per-call checks of scipy's cho_factor/cho_solve wrappers cost more than
+# the factorization itself
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector (numpy's own formula, without its dispatch)."""
+    return math.sqrt(v.dot(v))
+
+
+def _cho_factor(M: np.ndarray) -> np.ndarray:
+    c, info = _POTRF(M, lower=0, overwrite_a=0, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (info={info})")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = _POTRS(c, b, lower=0, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _add_at_layers(idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split ``idx`` into (positions, indices) layers without repeated indices.
+
+    Applying ``out[indices] += vals[positions]`` layer by layer adds every
+    value in the same order as ``np.add.at(out, idx, vals)``, at the cost of
+    one fancy-indexed update per layer instead of the unbuffered ufunc loop.
+    """
+    seen: dict[int, int] = {}
+    depth = np.empty(idx.size, dtype=int)
+    for k, i in enumerate(idx.tolist()):
+        depth[k] = seen.get(i, 0)
+        seen[i] = depth[k] + 1
+    layers = []
+    for level in range(int(depth.max(initial=-1)) + 1):
+        pos = np.flatnonzero(depth == level)
+        layers.append((pos, idx[pos]))
+    return layers
 
 
 @dataclass
@@ -43,6 +89,14 @@ class _ConeLayout:
     groups: dict[int, np.ndarray]
     m: int
     n_soc: int
+    # the slice a group's blocks occupy when they are contiguous, else None
+    spans: dict[int, slice | None] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.spans = {}
+        for d, idx in self.groups.items():
+            lo, hi = int(idx[0, 0]), int(idx[-1, -1]) + 1
+            self.spans[d] = slice(lo, hi) if hi - lo == idx.size else None
 
     @classmethod
     def build(cls, l: int, soc_dims: list[int]) -> "_ConeLayout":
@@ -57,21 +111,33 @@ class _ConeLayout:
     def view(self, u: np.ndarray, d: int) -> np.ndarray:
         """Block matrix (B, d) or (B, d, k) for dimension-d cones; a view when
         the blocks are contiguous in the stacked vector (the common case)."""
-        idx = self.groups[d]
-        lo, hi = int(idx[0, 0]), int(idx[-1, -1]) + 1
-        if hi - lo == idx.size:
-            return u[lo:hi].reshape((idx.shape[0], d) + u.shape[1:])
-        return u[idx]
+        span = self.spans[d]
+        if span is not None:
+            return u[span].reshape((-1, d) + u.shape[1:])
+        return u[self.groups[d]]
 
     def scatter(self, out: np.ndarray, d: int, vals: np.ndarray) -> None:
         """Write per-block values (B, d, ...) back into the stacked array."""
         idx = self.groups[d]
-        lo, hi = int(idx[0, 0]), int(idx[-1, -1]) + 1
         flat = vals.reshape((idx.size,) + vals.shape[2:])
-        if hi - lo == idx.size:
-            out[lo:hi] = flat
+        span = self.spans[d]
+        if span is not None:
+            out[span] = flat
         else:
             out[idx.ravel()] = flat
+
+    def target(self, out: np.ndarray, d: int) -> np.ndarray:
+        """Writable (B, d, ...) block array for ``out``: a view of it when the
+        blocks are contiguous, else scratch space to hand to ``scatter``."""
+        span = self.spans[d]
+        if span is not None:
+            return self.view(out, d)
+        return np.empty((self.groups[d].shape[0], d) + out.shape[1:])
+
+    def commit(self, out: np.ndarray, d: int, vals: np.ndarray) -> None:
+        """Finish a ``target`` write (a no-op when it was a view)."""
+        if self.spans[d] is None:
+            self.scatter(out, d, vals)
 
     @property
     def degree(self) -> int:
@@ -117,8 +183,8 @@ class _NTScaling:
         if np.any(s[:l] <= 0) or np.any(z[:l] <= 0):
             raise FloatingPointError("iterate left the orthant interior")
         self.w_lin = np.sqrt(s[:l] / z[:l]) if l else np.zeros(0)
-        self.wbar: dict[int, np.ndarray] = {}
-        self.eta: dict[int, np.ndarray] = {}
+        # per group: (d, span, w0, w1, -w1, eta, 1/eta, 1 + w0), wbar = (w0, w1)
+        self.blocks: list[tuple] = []
         for d in lay.groups:
             sb, zb = lay.view(s, d), lay.view(z, d)
             rs = sb[:, 0] ** 2 - np.einsum("bk,bk->b", sb[:, 1:], sb[:, 1:])
@@ -135,27 +201,35 @@ class _NTScaling:
             wb[:, 0] += zbar[:, 0]
             wb[:, 1:] -= zbar[:, 1:]
             wb /= (2.0 * gamma)[:, None]
-            self.wbar[d] = wb
-            self.eta[d] = (rs / rz) ** 0.25
-
-    def _apply_group(self, d: int, U: np.ndarray, inverse: bool) -> np.ndarray:
-        """Batched eta^{+-1} H(+-wbar) applied to U of shape (B, d)."""
-        wb = self.wbar[d]
-        w0 = wb[:, 0]
-        w1 = -wb[:, 1:] if inverse else wb[:, 1:]
-        scale = 1.0 / self.eta[d] if inverse else self.eta[d]
-        inner = np.einsum("bk,bk->b", w1, U[:, 1:])
-        out = np.empty_like(U)
-        out[:, 0] = w0 * U[:, 0] + inner
-        out[:, 1:] = U[:, 1:] + (U[:, 0] + inner / (1.0 + w0))[:, None] * w1
-        return out * scale[:, None]
+            eta = (rs / rz) ** 0.25
+            w0, w1 = wb[:, 0], wb[:, 1:]
+            self.blocks.append((d, lay.spans[d], w0, w1, -w1, eta, 1.0 / eta, 1.0 + w0))
 
     def _apply(self, u: np.ndarray, inverse: bool) -> np.ndarray:
+        """eta^{+-1} H(+-wbar) blockwise (the orthant part is diagonal)."""
+        lay = self.lay
         out = np.empty_like(u)
-        l = self.lay.l
-        out[:l] = u[:l] / self.w_lin if inverse else u[:l] * self.w_lin
-        for d in self.lay.groups:
-            self.lay.scatter(out, d, self._apply_group(d, self.lay.view(u, d), inverse))
+        l = lay.l
+        if inverse:
+            np.divide(u[:l], self.w_lin, out=out[:l])
+        else:
+            np.multiply(u[:l], self.w_lin, out=out[:l])
+        for d, span, w0, w1p, w1n, eta, inv_eta, opw0 in self.blocks:
+            w1 = w1n if inverse else w1p
+            if span is not None:
+                U = u[span].reshape(-1, d)
+                res = out[span].reshape(-1, d)
+            else:
+                U = u[lay.groups[d]]
+                res = np.empty_like(U)
+            U0, U1 = U[:, 0], U[:, 1:]
+            inner = np.einsum("bk,bk->b", w1, U1)
+            np.multiply(w0, U0, out=res[:, 0])
+            res[:, 0] += inner
+            res[:, 1:] = U1 + (U0 + inner / opw0)[:, None] * w1
+            res *= (inv_eta if inverse else eta)[:, None]
+            if span is None:
+                lay.scatter(out, d, res)
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -166,34 +240,34 @@ class _NTScaling:
 
     def scale_rows(self, G: np.ndarray) -> np.ndarray:
         """W^-1 G (apply W^-1 to every column at once)."""
+        lay = self.lay
         out = np.empty_like(G)
-        l = self.lay.l
-        out[:l] = G[:l] / self.w_lin[:, None]
-        for d in self.lay.groups:
-            wb = self.wbar[d]
-            w0 = wb[:, 0]
-            w1 = -wb[:, 1:]
-            blk = self.lay.view(G, d)  # (B, d, ncols)
+        l = lay.l
+        np.divide(G[:l], self.w_lin[:, None], out=out[:l])
+        for d, _, w0, _, w1, eta, _, opw0 in self.blocks:
+            blk = lay.view(G, d)  # (B, d, ncols)
             inner = np.einsum("bk,bkc->bc", w1, blk[:, 1:, :])
-            top = w0[:, None] * blk[:, 0, :] + inner
-            rest = blk[:, 1:, :] + w1[:, :, None] * (
-                blk[:, 0, :] + inner / (1.0 + w0)[:, None]
+            res = lay.target(out, d)
+            np.multiply(w0[:, None], blk[:, 0, :], out=res[:, 0, :])
+            res[:, 0, :] += inner
+            res[:, 1:, :] = blk[:, 1:, :] + w1[:, :, None] * (
+                blk[:, 0, :] + inner / opw0[:, None]
             )[:, None, :]
-            scaled = np.concatenate([top[:, None, :], rest], axis=1)
-            self.lay.scatter(out, d, scaled / self.eta[d][:, None, None])
+            res /= eta[:, None, None]
+            lay.commit(out, d, res)
         return out
 
 
 def _jordan_product(lay: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     l = lay.l
-    out[:l] = u[:l] * v[:l]
+    np.multiply(u[:l], v[:l], out=out[:l])
     for d in lay.groups:
         ub, vb = lay.view(u, d), lay.view(v, d)
-        res = np.empty_like(ub)
-        res[:, 0] = np.einsum("bk,bk->b", ub, vb)
+        res = lay.target(out, d)
+        np.einsum("bk,bk->b", ub, vb, out=res[:, 0])
         res[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-        lay.scatter(out, d, res)
+        lay.commit(out, d, res)
     return out
 
 
@@ -201,49 +275,76 @@ def _jordan_solve(lay: _ConeLayout, lam: np.ndarray, d_vec: np.ndarray) -> np.nd
     """Solve lam o x = d blockwise (lam interior, so the systems are regular)."""
     out = np.empty_like(d_vec)
     l = lay.l
-    out[:l] = d_vec[:l] / lam[:l]
+    np.divide(d_vec[:l], lam[:l], out=out[:l])
     for d in lay.groups:
         lb, db = lay.view(lam, d), lay.view(d_vec, d)
-        det = lb[:, 0] ** 2 - np.einsum("bk,bk->b", lb[:, 1:], lb[:, 1:])
-        x0 = (lb[:, 0] * db[:, 0] - np.einsum("bk,bk->b", lb[:, 1:], db[:, 1:])) / det
-        res = np.empty_like(db)
+        l1 = lb[:, 1:]
+        det = lb[:, 0] ** 2 - np.einsum("bk,bk->b", l1, l1)
+        x0 = (lb[:, 0] * db[:, 0] - np.einsum("bk,bk->b", l1, db[:, 1:])) / det
+        res = lay.target(out, d)
         res[:, 0] = x0
-        res[:, 1:] = (db[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
-        lay.scatter(out, d, res)
+        res[:, 1:] = (db[:, 1:] - x0[:, None] * l1) / lb[:, :1]
+        lay.commit(out, d, res)
     return out
 
 
-def _max_step(lay: _ConeLayout, u: np.ndarray, du: np.ndarray) -> float:
-    """Largest t with u + t*du in K (np.inf if the ray stays inside)."""
-    t = np.inf
-    l = lay.l
-    if l:
-        neg = du[:l] < 0
-        if neg.any():
-            t = min(t, float(np.min(-u[:l][neg] / du[:l][neg])))
-    for d in lay.groups:
-        ub, db = lay.view(u, d), lay.view(du, d)
-        a = db[:, 0] ** 2 - np.einsum("bk,bk->b", db[:, 1:], db[:, 1:])
-        b = 2.0 * (ub[:, 0] * db[:, 0] - np.einsum("bk,bk->b", ub[:, 1:], db[:, 1:]))
-        c = np.maximum(ub[:, 0] ** 2 - np.einsum("bk,bk->b", ub[:, 1:], ub[:, 1:]), 0.0)
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        q = -(b + np.copysign(sq, b)) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(np.abs(a) > 1e-14, q / a, np.inf)
+class _StepLimit:
+    """Largest t with s + t*ds in K and with z + t*dz in K (np.inf where the
+    ray stays inside), for the predictor and the corrector of one iteration.
+
+    The terms that depend only on (s, z) are formed once, and both rays go
+    through one batched root computation per cone group.  Used under
+    ``solve_socp``'s errstate: the masked-out quotients may divide by zero.
+    """
+
+    def __init__(self, lay: _ConeLayout, s: np.ndarray, z: np.ndarray):
+        self.lay = lay
+        l = lay.l
+        self.neg_lin = (-s[:l], -z[:l])
+        # per group: (d, u0, -u0, u1, c, B) over the stacked blocks of s then z
+        self.blocks = []
+        for d in lay.groups:
+            ub = np.concatenate((lay.view(s, d), lay.view(z, d)))
+            u0, u1 = ub[:, 0], ub[:, 1:]
+            c = np.maximum(u0 ** 2 - np.einsum("bk,bk->b", u1, u1), 0.0)
+            self.blocks.append((d, u0, -u0, u1, c, ub.shape[0] // 2))
+
+    def __call__(self, ds: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
+        lay = self.lay
+        steps = [np.inf, np.inf]
+        l = lay.l
+        if l:
+            for k, (neg_w, dw) in enumerate(zip(self.neg_lin, (ds[:l], dz[:l]))):
+                neg = dw < 0
+                if neg.any():
+                    steps[k] = min(steps[k], float(np.min(neg_w[neg] / dw[neg])))
+        for d, u0, neg_u0, u1, c, half in self.blocks:
+            db = np.concatenate((lay.view(ds, d), lay.view(dz, d)))
+            d0, d1 = db[:, 0], db[:, 1:]
+            a = d0 ** 2 - np.einsum("bk,bk->b", d1, d1)
+            b = 2.0 * (u0 * d0 - np.einsum("bk,bk->b", u1, d1))
+            disc = b * b - 4.0 * a * c
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            q = -(b + np.copysign(sq, b)) / 2.0
+            quadratic = np.abs(a) > 1e-14
+            quad = quadratic & (disc >= 0.0)
+            # both roots of a t^2 + b t + c, positive ones only
+            r1 = q / a
             r2 = np.where(np.abs(q) > 1e-300, c / q, np.inf)
-            lin = np.where(b < -1e-14, -c / b, np.inf)
-        roots = np.full(a.shape, np.inf)
-        quad = (np.abs(a) > 1e-14) & (disc >= 0.0)
-        for r in (r1, r2):
-            cand = np.where(quad & (r > 1e-14), r, np.inf)
-            roots = np.minimum(roots, cand)
-        roots = np.where(np.abs(a) <= 1e-14, np.where(lin > 1e-14, lin, np.inf), roots)
-        head = np.where(db[:, 0] < -1e-14, -ub[:, 0] / db[:, 0], np.inf)
-        roots = np.minimum(roots, head)
-        if roots.size:
-            t = min(t, float(roots.min()))
-    return t
+            roots = np.minimum(
+                np.where(quad & (r1 > 1e-14), r1, np.inf),
+                np.where(quad & (r2 > 1e-14), r2, np.inf),
+            )
+            if not quadratic.all():
+                # the root of b t + c where a vanishes
+                lin = np.where(b < -1e-14, -c / b, np.inf)
+                roots = np.where(quadratic, roots, np.where(lin > 1e-14, lin, np.inf))
+            head = np.where(d0 < -1e-14, neg_u0 / d0, np.inf)
+            roots = np.minimum(roots, head)
+            if half:
+                steps[0] = min(steps[0], float(roots[:half].min()))
+                steps[1] = min(steps[1], float(roots[half:].min()))
+        return steps[0], steps[1]
 
 
 def _assemble(spec: SocpSpec):
@@ -309,8 +410,16 @@ class _RowSplit:
         else:
             self.cols = np.zeros(0, dtype=int)
             self.coef = np.zeros(0)
+        self.layers = _add_at_layers(self.cols)
+        self.diag = np.arange(G.shape[1])
         self.G_dense = np.ascontiguousarray(G[self.dense])
         self.m = G.shape[0]
+
+    def add_simple(self, out: np.ndarray, vals: np.ndarray) -> None:
+        """``np.add.at(out, self.cols, vals)``: bound-row terms into a column
+        vector."""
+        for pos, cols in self.layers:
+            out[cols] += vals[pos]
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """G @ u."""
@@ -322,7 +431,7 @@ class _RowSplit:
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """G.T @ w."""
         out = self.G_dense.T @ w[self.dense]
-        np.add.at(out, self.cols, self.coef * w[self.simple])
+        self.add_simple(out, self.coef * w[self.simple])
         return out
 
 
@@ -342,9 +451,11 @@ class _KKT:
         self.dense = np.ascontiguousarray(Gt[split.dense])
         self.simple_coef = Gt[split.simple, split.cols]
         M = self.dense.T @ self.dense
-        np.add.at(M, (split.cols, split.cols), self.simple_coef * self.simple_coef)
-        M[np.diag_indices_from(M)] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
-        self.chol = cho_factor(M, lower=False, check_finite=False)
+        sq = self.simple_coef * self.simple_coef
+        for pos, cols in split.layers:
+            M[cols, cols] += sq[pos]
+        M[split.diag, split.diag] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
+        self.chol = _cho_factor(M)
 
     def _matvec(self, u: np.ndarray) -> np.ndarray:
         """Gt @ u using the split rows."""
@@ -356,13 +467,13 @@ class _KKT:
     def _rmatvec(self, w: np.ndarray) -> np.ndarray:
         """Gt.T @ w using the split rows."""
         out = self.dense.T @ w[self.split.dense]
-        np.add.at(out, self.split.cols, self.simple_coef * w[self.split.simple])
+        self.split.add_simple(out, self.simple_coef * w[self.split.simple])
         return out
 
     def _solve_raw(self, p: np.ndarray, q: np.ndarray):
         Winv_q = self.W.apply_inv(q) if self.W is not None else q
         rhs = p + self._rmatvec(Winv_q)
-        u = cho_solve(self.chol, rhs, check_finite=False)
+        u = _cho_solve(self.chol, rhs)
         t = self._matvec(u) - Winv_q
         v = self.W.apply_inv(t) if self.W is not None else t
         return u, v
@@ -372,7 +483,7 @@ class _KKT:
         u, v = self._solve_raw(p, q)
         if not refine:
             return u, v
-        scale = 1.0 + np.linalg.norm(p) + np.linalg.norm(q)
+        scale = 1.0 + _norm(p) + _norm(q)
         prev = np.inf
         for _ in range(2):
             if self.W is not None:
@@ -381,7 +492,7 @@ class _KKT:
                 w2v = v
             rp = p - self.split.rmatvec(v)
             rq = q - (self.split.matvec(u) - w2v)
-            err = max(np.linalg.norm(rp), np.linalg.norm(rq))
+            err = max(_norm(rp), _norm(rq))
             if err <= 1e-13 * scale or err >= 0.5 * prev:
                 break
             prev = err
@@ -421,17 +532,17 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
         return _result(SolveStatus.UNBOUNDED if np.any(c != 0) else SolveStatus.OPTIMAL,
                        np.zeros(n), 0.0, 0.0, 0.0, 0.0, 0)
 
-    norm_h = 1.0 + np.linalg.norm(h)
-    norm_c = 1.0 + np.linalg.norm(c)
+    norm_h = 1.0 + _norm(h)
+    norm_c = 1.0 + _norm(c)
     e = lay.identity()
     degree = lay.degree + 1  # tau/kappa pair counts once
 
     split = _RowSplit(G, lay.l)
     try:
         kkt0 = _KKT(G, None, split)
-        x = cho_solve(kkt0.chol, G.T @ h, check_finite=False)
+        x = _cho_solve(kkt0.chol, G.T @ h)
         s = _shift_into_cone(lay, h - G @ x)
-        z = _shift_into_cone(lay, -G @ cho_solve(kkt0.chol, c, check_finite=False))
+        z = _shift_into_cone(lay, -G @ _cho_solve(kkt0.chol, c))
     except np.linalg.LinAlgError:
         return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, 0)
     tau, kappa = 1.0, 1.0
@@ -444,8 +555,8 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
 
         # convergence on the de-homogenized point
         xh, sh, zh = x / tau, s / tau, z / tau
-        pres = np.linalg.norm(split.matvec(xh) + sh - h) / norm_h
-        dres = np.linalg.norm(split.rmatvec(zh) + c) / norm_c
+        pres = _norm(split.matvec(xh) + sh - h) / norm_h
+        dres = _norm(split.rmatvec(zh) + c) / norm_c
         pobj = c @ xh
         gap_abs = sh @ zh
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
@@ -483,7 +594,7 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
                 return _result(SolveStatus.UNBOUNDED, None, np.nan, np.nan, np.nan, np.nan, it)
 
         # a diverging iterate cannot certify anything; stop on the best point
-        if max(np.linalg.norm(x), np.linalg.norm(z)) > 1e12:
+        if max(_norm(x), _norm(z)) > 1e12:
             break
 
         try:
@@ -492,6 +603,7 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
         except (FloatingPointError, np.linalg.LinAlgError):
             break
         lam = W.apply(z)
+        max_steps = _StepLimit(lay, s, z)
         mu = (s @ z + tau * kappa) / degree
 
         r1 = split.rmatvec(z) + c * tau      # want 0
@@ -499,13 +611,13 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
         r3 = kappa + c @ x + h @ z       # want 0
 
         u1, v1 = kkt.solve(-c, h)
+        denom = (c @ u1 + h @ v1) - kappa / tau
 
         def direction(ds_target: np.ndarray, dkappa_target: float, fac: float):
             ds_tilde = _jordan_solve(lay, lam, ds_target)
             p = -fac * r1
             q = -fac * r2 - W.apply(ds_tilde)
             u2, v2 = kkt.solve(p, q)
-            denom = (c @ u1 + h @ v1) - kappa / tau
             num = (-fac * r3 - dkappa_target / tau) - (c @ u2 + h @ v2)
             dtau = num / denom
             dx = u2 + dtau * u1
@@ -515,27 +627,30 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
             return dx, dz, ds, dtau, dkappa
 
         # predictor
-        ds_aff = -_jordan_product(lay, lam, lam)
+        lam_sq = _jordan_product(lay, lam, lam)
+        ds_aff = -lam_sq
         dx_a, dz_a, ds_a, dtau_a, dkap_a = direction(ds_aff, -tau * kappa, 1.0)
+        step_s, step_z = max_steps(ds_a, dz_a)
         alpha = min(
-            _max_step(lay, s, ds_a),
-            _max_step(lay, z, dz_a),
+            step_s,
+            step_z,
             tau / -dtau_a if dtau_a < 0 else np.inf,
             kappa / -dkap_a if dkap_a < 0 else np.inf,
             1.0,
         )
-        sigma = float(np.clip((1.0 - alpha) ** 3, 0.0, 1.0))
+        sigma = float(min(max((1.0 - alpha) ** 3, 0.0), 1.0))
 
         # corrector
         corr = _jordan_product(lay, W.apply_inv(ds_a), W.apply(dz_a))
-        ds_comb = -_jordan_product(lay, lam, lam) - corr + sigma * mu * e
+        ds_comb = -lam_sq - corr + sigma * mu * e
         dkap_comb = -(tau * kappa) - dtau_a * dkap_a + sigma * mu
         fac = 1.0 - sigma
         dx, dz, ds, dtau, dkap = direction(ds_comb, dkap_comb, fac)
 
+        step_s, step_z = max_steps(ds, dz)
         step = min(
-            _max_step(lay, s, ds),
-            _max_step(lay, z, dz),
+            step_s,
+            step_z,
             tau / -dtau if dtau < 0 else np.inf,
             kappa / -dkap if dkap < 0 else np.inf,
         )

@@ -88,7 +88,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
     basis[r] = j
@@ -108,23 +108,22 @@ def _run_simplex(T, basis, m, price_row, allowed, bland_threshold, max_pivots, s
                 return "optimal", pivots
             j = int(cand[0])
         else:
-            j = int(np.argmin(rc))
+            j = int(rc.argmin())
             if rc[j] >= -_PIV_TOL:
                 return "optimal", pivots
         col = T[:m, j]
         pos = col > _PIV_TOL
         if not pos.any():
             return "unbounded", pivots
-        ratios = np.full(m, np.inf)
-        ratios[pos] = rhs[pos] / col[pos]
+        ratios = np.divide(rhs, col, out=np.full(m, np.inf), where=pos)
         rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + _RATIO_TIE * (1.0 + abs(rmin)))
-        r = int(ties[np.argmin(basis[ties])])
+        ties = (ratios <= rmin + _RATIO_TIE * (1.0 + abs(rmin))).nonzero()[0]
+        r = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         degenerate_run = degenerate_run + 1 if rmin <= 1e-10 else 0
         if degenerate_run > bland_threshold:
             bland = True
         _pivot(T, basis, r, j)
-        np.clip(rhs, 0.0, None, out=rhs)
+        np.maximum(rhs, 0.0, out=rhs)
         pivots += 1
     return "iteration-limit", pivots
 

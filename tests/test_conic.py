@@ -159,3 +159,126 @@ class TestInteriorPoint:
         r1, r2 = solve_socp(spec), solve_socp(spec)
         assert r1.objective == r2.objective
         assert np.array_equal(r1.z, r2.z)
+
+
+def _reference_scaling(lay, s, z):
+    """Per-block NT scaling (wbar, eta), written out block by block."""
+    blocks = []
+    for idx in lay.groups.values():
+        for rows in idx:
+            sb, zb = s[rows], z[rows]
+            rs = sb[0] ** 2 - sb[1:] @ sb[1:]
+            rz = zb[0] ** 2 - zb[1:] @ zb[1:]
+            sbar, zbar = sb / np.sqrt(rs), zb / np.sqrt(rz)
+            gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
+            wb = np.concatenate([[sbar[0] + zbar[0]], sbar[1:] - zbar[1:]]) / (2.0 * gamma)
+            blocks.append((rows, wb, (rs / rz) ** 0.25))
+    return np.sqrt(s[: lay.l] / z[: lay.l]), blocks
+
+
+def _reference_apply(lay, scaling, u, inverse):
+    """eta^{+-1} H(+-wbar) u with H(w) = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]]."""
+    w_lin, blocks = scaling
+    out = np.empty_like(u)
+    out[: lay.l] = u[: lay.l] / w_lin if inverse else u[: lay.l] * w_lin
+    for rows, wb, eta in blocks:
+        w0, w1 = wb[0], -wb[1:] if inverse else wb[1:]
+        U = u[rows]
+        inner = w1 @ U[1:]
+        res = np.concatenate([[w0 * U[0] + inner], U[1:] + (U[0] + inner / (1.0 + w0)) * w1])
+        out[rows] = res / eta if inverse else res * eta
+    return out
+
+
+def _reference_max_step(lay, u, du):
+    """Largest t with u + t du in K, by the quadratic on each block."""
+    t = np.inf
+    neg = du[: lay.l] < 0
+    if neg.any():
+        t = np.min(-u[: lay.l][neg] / du[: lay.l][neg])
+    for idx in lay.groups.values():
+        for rows in idx:
+            ub, db = u[rows], du[rows]
+            a = db[0] ** 2 - db[1:] @ db[1:]
+            b = 2.0 * (ub[0] * db[0] - ub[1:] @ db[1:])
+            c = max(ub[0] ** 2 - ub[1:] @ ub[1:], 0.0)
+            if abs(a) > 1e-14:
+                disc = b * b - 4.0 * a * c
+                if disc >= 0.0:
+                    q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
+                    for r in (q / a, c / q if abs(q) > 1e-300 else np.inf):
+                        if r > 1e-14:
+                            t = min(t, r)
+            elif b < -1e-14 and -c / b > 1e-14:
+                t = min(t, -c / b)
+            if db[0] < -1e-14:
+                t = min(t, -ub[0] / db[0])
+    return t
+
+
+class TestInteriorPointKernels:
+    """The batched kernels inside the cone solver against per-block references."""
+
+    @staticmethod
+    def _layout_and_interior(rng, l, dims):
+        from cvarscale.conic.ipm import _ConeLayout
+
+        lay = _ConeLayout.build(l, dims)
+
+        def interior():
+            u = rng.uniform(0.5, 2.0, size=lay.m)
+            for idx in lay.groups.values():
+                u[idx[:, 0]] = 1.0 + np.linalg.norm(u[idx[:, 1:]], axis=1)
+            return u
+
+        return lay, interior
+
+    def test_row_split_products_match_dense(self):
+        from cvarscale.conic.ipm import _RowSplit
+
+        rng = np.random.default_rng(7)
+        n = 5
+        dense = rng.normal(size=(4, n))
+        # single-nonzero rows that hit columns 1 and 3 more than once
+        simple = np.zeros((5, n))
+        simple[[0, 1, 2, 3, 4], [1, 3, 1, 0, 1]] = [2.0, -1.0, 0.5, 3.0, -4.0]
+        G = np.vstack([simple, dense])
+        split = _RowSplit(G, l=G.shape[0])
+        u, w = rng.normal(size=n), rng.normal(size=G.shape[0])
+        assert np.allclose(split.matvec(u), G @ u, rtol=0, atol=1e-13)
+        want = G[split.dense].T @ w[split.dense]
+        np.add.at(want, split.cols, split.coef * w[split.simple])
+        assert np.array_equal(split.rmatvec(w), want)
+
+    @pytest.mark.parametrize("dims", [[3] * 6, [3, 4, 3, 2, 4]])
+    def test_scaling_matches_reference(self, dims):
+        from cvarscale.conic.ipm import _NTScaling
+
+        rng = np.random.default_rng(11)
+        lay, interior = self._layout_and_interior(rng, 4, dims)
+        s, z = interior(), interior()
+        W = _NTScaling(lay, s, z)
+        ref = _reference_scaling(lay, s, z)
+        assert np.allclose(W.apply(z), W.apply_inv(s), rtol=1e-12, atol=1e-12)
+        u = rng.normal(size=lay.m)
+        for inverse, got in ((False, W.apply(u)), (True, W.apply_inv(u))):
+            assert np.allclose(got, _reference_apply(lay, ref, u, inverse), rtol=1e-13, atol=1e-13)
+        G = rng.normal(size=(lay.m, 3))
+        cols = np.column_stack([W.apply_inv(G[:, k]) for k in range(3)])
+        assert np.allclose(W.scale_rows(G), cols, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [[3] * 6, [3, 4, 3, 2, 4]])
+    def test_step_limit_matches_reference(self, dims):
+        from cvarscale.conic.ipm import _min_cone_margin, _StepLimit
+
+        rng = np.random.default_rng(13)
+        lay, interior = self._layout_and_interior(rng, 4, dims)
+        for _ in range(20):
+            s, z = interior(), interior()
+            ds, dz = 3.0 * rng.normal(size=lay.m), 3.0 * rng.normal(size=lay.m)
+            for u, du, t in zip((s, z), (ds, dz), _StepLimit(lay, s, z)(ds, dz)):
+                assert t == pytest.approx(_reference_max_step(lay, u, du), rel=1e-12)
+                assert t > 0
+                if np.isfinite(t):
+                    assert _min_cone_margin(lay, u + 0.999 * t * du) >= 0.0
+                    assert _min_cone_margin(lay, u + 1.001 * t * du) < 0.0
