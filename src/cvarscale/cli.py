@@ -255,6 +255,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in bench_mod.METHODS:
@@ -273,10 +275,11 @@ def cmd_bench(args) -> int:
                 )
                 instances.append(bench_mod.generate(config))
     tol = _tolerances(args)
-    if args.jobs > 1:
+    workers = min(args.jobs, len(instances))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_bench_cell, [(i, methods, tol) for i in instances]))
         rows = [row for chunk in chunks for row in chunk]
     else:

@@ -663,13 +663,16 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
         s += step * ds
         tau += step * dtau
         kappa += step * dkap
+    else:
+        it = _MAX_ITER
+    # it counts the steps taken: a break at index it leaves before that step
 
     if best is not None:
-        _, xh, pobj, pres, dres, gap_abs, it = best
+        _, xh, pobj, pres, dres, gap_abs, _ = best
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
         if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
             return _result(SolveStatus.OPTIMAL, xh, pobj, pres, dres, gap_abs, it)
         if pres <= 1e-6 and dres <= 1e-6:
             # stalled short of full accuracy; report honestly as an iteration limit
-            return _result(SolveStatus.ITERATION_LIMIT, xh, pobj, pres, dres, gap_abs, _MAX_ITER)
-    return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, _MAX_ITER)
+            return _result(SolveStatus.ITERATION_LIMIT, xh, pobj, pres, dres, gap_abs, it)
+    return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, it)

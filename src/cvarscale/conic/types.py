@@ -1,15 +1,9 @@
-"""Problem specifications and results for the embedded dense solvers.
-
-Specs can be dumped to JSON for cross-checking against external solvers;
-the dump format is a debugging aid, not a stability contract.
-"""
+"""Problem specifications and results for the embedded dense solvers."""
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +29,9 @@ class SolveResult:
     dual_residual: float
     duality_gap: float
     iterations: int
+    # simplex only: the optimal basis as standard-form column indices, which
+    # warm-starts a later solve of the same LP with rows appended to A
+    basis: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -71,19 +68,6 @@ class LinearProgramSpec:
     @property
     def n(self) -> int:
         return self.c.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "lp",
-            "c": self.c.tolist(),
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "lb": [str(v) if not np.isfinite(v) else v for v in self.lb],
-            "ub": [str(v) if not np.isfinite(v) else v for v in self.ub],
-        }
-
-    def dump(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
 @dataclass(frozen=True)
@@ -142,20 +126,3 @@ class SocpSpec:
     @property
     def n(self) -> int:
         return self.c.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "socp",
-            "c": self.c.tolist(),
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "cones": [
-                {"F": k.F.tolist(), "f": k.f.tolist(), "g": k.g.tolist(), "h": k.h}
-                for k in self.cones
-            ],
-            "lb": [str(v) if not np.isfinite(v) else v for v in self.lb],
-            "ub": [str(v) if not np.isfinite(v) else v for v in self.ub],
-        }
-
-    def dump(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))

@@ -234,11 +234,13 @@ def _solve_by_cuts(
     aW, ad, _ = _worst_rows(instance, alpha, np.clip(np.zeros(n), dom.lb, dom.ub))
     hold(*_hinge_cut(p, aW, ad, np.arange(N)))
     boxed = None
+    basis = None  # new cuts are appended, so each round resumes from the last basis
     while True:
         rows = head + [row for row, _ in cuts.values()]
         rhs = head_rhs + [r for _, r in cuts.values()]
         res = solve_lp(LinearProgramSpec(c=c, A=np.vstack(rows), b=np.array(rhs), lb=lb, ub=ub),
-                       tol)
+                       tol, basis=basis)
+        basis = res.basis
         if res.status == SolveStatus.UNBOUNDED and boxed is None:
             open_lb, open_ub = ~np.isfinite(dom.lb), ~np.isfinite(dom.ub)
             centre = np.where(open_lb, np.where(open_ub, 0.0, dom.ub), dom.lb)

@@ -191,6 +191,10 @@ def test_criterion_3_sandwich(corpus):
                 assert oracle.v_star - 1e-6 <= value, inst.name
                 assert value <= cvar_sol.objective + 1e-9, inst.name
         elapsed = corpus.build_seconds + corpus.method_seconds
+        print(
+            f"[acceptance]   sandwich stage: build {corpus.build_seconds:.1f}s + "
+            f"methods {corpus.method_seconds:.1f}s = {elapsed:.1f}s"
+        )
         assert elapsed < 120.0, f"sandwich stage took {elapsed:.1f}s"
 
 

@@ -151,6 +151,26 @@ class TestGenerateAndBench:
         assert len(lines) == 5  # header + 2 seeds x 2 methods
         assert lines[0].startswith("instance,eps,method")
 
+    def test_bench_jobs_match_serial(self, tmp_path):
+        def rows(jobs):
+            out = tmp_path / f"report-{jobs}.csv"
+            rc = main(["bench", "--family", "portfolio", "--n", "5", "--N", "10",
+                       "--eps-list", "0.300333", "--seeds", "1,2",
+                       "--budget-fraction", "0.6", "--methods", "cvar,alg1",
+                       "--jobs", str(jobs), "--out", str(out)])
+            assert rc == 0
+            lines = [line.split(",") for line in out.read_text().strip().splitlines()]
+            col = lines[0].index("time_s")
+            return [line[:col] + line[col + 1:] for line in lines]
+
+        serial = rows(1)
+        assert len(serial) == 5
+        assert rows(2) == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bench_rejects_jobs_below_one(self, two_scenario_file, jobs):
+        assert main(["bench", "--instance", two_scenario_file, "--jobs", jobs]) == 2
+
     def test_bench_on_instance_file(self, two_scenario_file, tmp_path):
         out = tmp_path / "report.csv"
         rc = main(["bench", "--instance", two_scenario_file,

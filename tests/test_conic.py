@@ -11,6 +11,7 @@ from cvarscale.conic import (
     solve_lp,
     solve_socp,
 )
+from cvarscale.conic import simplex
 
 FREE = np.inf
 
@@ -86,6 +87,169 @@ class TestSimplex:
         assert r1.objective == r2.objective
         assert r1.status == r2.status
         assert np.array_equal(r1.z, r2.z)
+
+
+def appended(spec, A_new, b_new):
+    return LinearProgramSpec(c=spec.c, A=np.vstack([spec.A, A_new]),
+                             b=np.concatenate([spec.b, b_new]), lb=spec.lb, ub=spec.ub)
+
+
+def cutting_rows(rng, spec, z_star, count):
+    """Rows that cut z_star off but keep the interior point x0 = 0 feasible."""
+    rows = rng.normal(size=(count, spec.n))
+    rows *= np.sign(rows @ z_star)[:, None]
+    return rows, 0.5 * (rows @ z_star)
+
+
+def standard_form_reference(spec):
+    """Per-variable loop build of the standard form: bound rows, then A's rows."""
+    cols, bound_rows, c_parts = [], [], []
+    shift = np.zeros(spec.n)
+    for j in range(spec.n):
+        lb, ub = spec.lb[j], spec.ub[j]
+        cols.append(len(c_parts))
+        if np.isfinite(lb):
+            shift[j] = lb
+            c_parts.append(spec.c[j])
+            if np.isfinite(ub):
+                bound_rows.append((cols[-1], ub - lb))
+        elif np.isfinite(ub):
+            shift[j] = ub
+            c_parts.append(-spec.c[j])
+        else:
+            c_parts += [spec.c[j], -spec.c[j]]
+    nb, nw = len(bound_rows), len(c_parts)
+    m = nb + spec.A.shape[0]
+    A_bar, b_bar = np.zeros((m, nw)), np.empty(m)
+    b_bar[nb:] = spec.b - spec.A @ shift
+    for j in range(spec.n):
+        if np.isfinite(spec.lb[j]):
+            A_bar[nb:, cols[j]] += spec.A[:, j]
+        elif np.isfinite(spec.ub[j]):
+            A_bar[nb:, cols[j]] -= spec.A[:, j]
+        else:
+            A_bar[nb:, cols[j]] += spec.A[:, j]
+            A_bar[nb:, cols[j] + 1] -= spec.A[:, j]
+    for r, (col, rhs) in enumerate(bound_rows):
+        A_bar[r, col] = 1.0
+        b_bar[r] = rhs
+    return np.hstack([A_bar, np.eye(m)]), b_bar, np.concatenate([c_parts, np.zeros(m)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_standard_form_matches_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 7, 5
+    A = rng.normal(size=(m, n))
+    A[0, 0] = -0.0
+    kinds = rng.integers(0, 4, size=n)  # boxed, lower only, upper only, free
+    lb = np.where(kinds <= 1, rng.uniform(-2, 0, size=n), -FREE)
+    ub = np.where((kinds == 0) | (kinds == 2), rng.uniform(0, 2, size=n), FREE)
+    spec = lp(rng.normal(size=n), A=A, b=rng.normal(size=m), lb=lb, ub=ub)
+    sf = simplex._to_standard_form(spec)
+    As, bs, cs = standard_form_reference(spec)
+    for got, want in ((sf.As, As), (sf.bs, bs), (sf.cs, cs)):
+        assert got.tobytes() == want.tobytes()
+    w = rng.uniform(size=As.shape[1])
+    ref = [spec.lb[j] + w[c] if np.isfinite(spec.lb[j]) else
+           spec.ub[j] - w[c] if np.isfinite(spec.ub[j]) else w[c] - w[c + 1]
+           for j, c in enumerate(sf.col)]
+    assert sf.z_of(w).tobytes() == np.array(ref).tobytes()
+
+
+class TestSimplexResume:
+    """A solve resumed from an earlier optimal basis against a cold solve."""
+
+    def resume(self, spec0, A_new, b_new):
+        """(resumed, cold) results on spec0 with rows appended; the resume must
+        not fall back to the cold path."""
+        first = solve_lp(spec0)
+        assert first.status == SolveStatus.OPTIMAL and first.basis is not None
+        spec = appended(spec0, A_new, b_new)
+        warm, pivots = simplex._resume(spec, first.basis)
+        assert warm is not None, "resume fell back to the cold solve"
+        assert warm.iterations == pivots
+        cold = solve_lp(spec)
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert warm.primal_residual <= 1e-9 * (1.0 + abs(cold.objective))
+            again = solve_lp(spec, basis=first.basis)
+            assert again.iterations == warm.iterations
+            assert np.array_equal(again.z, warm.z) and again.objective == warm.objective
+        return warm, cold
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cuts_with_bound_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 9)), int(rng.integers(4, 12))
+        A = rng.normal(size=(m, n))
+        b = rng.uniform(0.1, 1.0, size=m)  # the origin is strictly feasible
+        spec = lp(rng.normal(size=n), A=A, b=b, lb=[-5.0] * n, ub=[5.0] * n)
+        z_star = solve_lp(spec).z
+        for count in (1, 4):
+            warm, _ = self.resume(spec, *cutting_rows(rng, spec, z_star, count))
+            assert warm.status == SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_free_and_upper_bounded_variables(self, seed):
+        # free columns are split in the standard form, upper-only ones flipped
+        rng = np.random.default_rng(100 + seed)
+        n = 5
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        A = np.vstack([box, rng.normal(size=(4, n))])
+        b = np.concatenate([np.full(2 * n, 3.0), rng.uniform(0.2, 1.0, size=4)])
+        lb = [-FREE, -FREE, -FREE, -FREE, 0.0]
+        ub = [FREE, FREE, 2.0, 1.0, FREE]
+        spec = lp(rng.normal(size=n), A=A, b=b, lb=lb, ub=ub)
+        z_star = solve_lp(spec).z
+        self.resume(spec, *cutting_rows(rng, spec, z_star, 3))
+
+    def test_parent_needed_phase_one(self):
+        # x + y >= 1 and x + 2y >= 1.5 put the origin outside; cut the optimum
+        spec = lp([1.0, 1.0], A=[[-1.0, -1.0], [-1.0, -2.0]], b=[-1.0, -1.5],
+                  lb=[0.0, 0.0], ub=[FREE, FREE])
+        first = solve_lp(spec)
+        assert first.status == SolveStatus.OPTIMAL and first.basis is not None
+        warm, cold = self.resume(spec, [[0.0, -1.0], [-1.0, 0.0]], [-0.8, -0.6])
+        assert cold.objective == pytest.approx(1.4)
+
+    def test_degenerate_ties(self):
+        # the optimum (1, 0) of min -x - y/2 sits on four rows; the cuts pass
+        # through it or tie with each other
+        A = [[1.0, 1.0], [1.0, 0.0], [1.0, -1.0], [2.0, 1.0]]
+        spec = lp([-1.0, -0.5], A=A, b=[1.0, 1.0, 1.0, 2.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+        warm, cold = self.resume(spec, [[1.0, 1.0], [1.0, 0.0], [2.0, 2.0], [1.0, 0.5]],
+                                 [0.8, 0.8, 1.6, 0.8])
+        assert cold.status == SolveStatus.OPTIMAL
+        assert cold.objective == pytest.approx(-0.8)
+
+    @pytest.mark.parametrize("rows, rhs", [
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [-1.0, -1.0]),  # x0 <= -1 and x0 >= 1
+        ([[1.0, 1.0, 1.0]], [-20.0]),  # beyond the bound rows of the box
+    ])
+    def test_infeasible_rows_give_a_verified_ray(self, monkeypatch, rows, rhs):
+        spec = lp([1.0, -1.0, 0.5], A=[[1.0, 1.0, 0.0]], b=[2.0],
+                  lb=[-5.0, -5.0, -5.0], ub=[5.0, 5.0, 5.0])
+        warm, cold = self.resume(spec, rows, rhs)
+        assert warm.status == cold.status == SolveStatus.INFEASIBLE
+        # the status rests on the Farkas check: without it the cold path decides
+        first = solve_lp(spec)
+        monkeypatch.setattr(simplex, "_is_farkas_ray", lambda *args: False)
+        assert simplex._resume(appended(spec, rows, rhs), first.basis)[0] is None
+
+    def test_foreign_basis_falls_back(self):
+        spec = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
+                  lb=[0.0, 0.0], ub=[FREE, FREE])
+        longer = appended(spec, [[1.0, 1.0]], [2.5])
+        basis = solve_lp(longer).basis
+        assert simplex._resume(spec, basis)[0] is None  # more basics than rows
+        assert simplex._resume(longer, -1 - solve_lp(spec).basis)[0] is None
+        assert solve_lp(spec, basis=basis).objective == pytest.approx(solve_lp(spec).objective)
+
+    def test_basis_only_on_optimal_results(self):
+        assert solve_lp(lp([1.0], A=[[1.0]], b=[-1.0], lb=[0.0], ub=[FREE])).basis is None
+        assert solve_lp(lp([-1.0], lb=[0.0], ub=[FREE])).basis is None
 
 
 class TestInteriorPoint:

@@ -189,3 +189,25 @@ class TestHybridLoop:
         assert sol.optimal
         trace = hybrid_refine(inst, sol.x, Tolerances(max_iter=8))
         assert trace.incumbent.objective <= sol.objective + 1e-9
+
+
+def test_stalled_subproblem_reports_iterations_run(monkeypatch):
+    # corpus instance 2 has SCA subproblems that stop on the interior-point
+    # stall rule just short of the 1e-9 inner tolerance; they must report the
+    # iterations they ran, not the 200-iteration cap
+    import cvarscale.sca as sca_mod
+    from tests.test_acceptance import RUN_TOL, _mixed_instance
+
+    results = []
+
+    def recording(spec, tol):
+        res = solve_socp(spec, tol)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(sca_mod, "solve_socp", recording)
+    inst = _mixed_instance(2)
+    sequential_convex(inst, solve_cvar(inst, RUN_TOL).x, RUN_TOL)
+    stalled = [r for r in results if r.status == SolveStatus.ITERATION_LIMIT]
+    assert stalled
+    assert all(8 <= r.iterations < 200 for r in stalled)
