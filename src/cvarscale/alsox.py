@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conic import LinearProgramSpec, SolveStatus, solve_lp
+from .conic import SolveStatus, solve_lp
 from .cvar import _solve_hinge, solve_cvar
 from .errors import InfeasibleProblem, NoFeasibleIncumbent, SolverFailure
-from .model import CcpInstance, Tolerances, chance_feasible, with_extra_domain_rows
+from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible, with_extra_domain_rows
 from .scaling import scaling_heuristic
 
 __all__ = ["BisectionStep", "BisectionReport", "lower_level", "alsox_sharp", "alsox_sharp_scaled"]
@@ -69,10 +69,10 @@ def lower_level(
     """Minimize the hinge loss under the budget row c.x <= t.
 
     Returns (x, beta, value).  Raises InfeasibleProblem when the budget row
-    cuts off the whole domain.
+    cuts off the whole domain.  ``tol`` is accepted like the other methods'
+    but unused: the LP solve has no tolerance to set.
     """
-    tol = tol or Tolerances()
-    sol = _solve_hinge(instance, np.ones(instance.N), tol, budget=t)
+    sol = _solve_hinge(instance, np.ones(instance.N), budget=t)
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasibleProblem(f"budget {t!r} cuts off the whole domain")
     if sol.status != SolveStatus.OPTIMAL:
@@ -80,17 +80,9 @@ def lower_level(
     return sol.x, sol.beta, float(sol.objective)
 
 
-def _default_t_lower(instance: CcpInstance, tol: Tolerances) -> float:
+def _default_t_lower(instance: CcpInstance) -> float:
     """Cost minimum over the domain alone; a valid lower bound on the optimum."""
-    dom = instance.domain
-    spec = LinearProgramSpec(
-        c=instance.c,
-        A=dom.P if dom.P is not None else np.zeros((0, instance.n)),
-        b=dom.q if dom.q is not None else np.zeros(0),
-        lb=dom.lb,
-        ub=dom.ub,
-    )
-    res = solve_lp(spec, tol)
+    res = solve_lp(_domain_lp(instance, instance.c))
     if res.status != SolveStatus.OPTIMAL:
         raise SolverFailure(f"domain cost bound LP ended with {res.status.value}")
     return res.objective
@@ -106,7 +98,7 @@ def _bisect(
 ) -> BisectionReport:
     tol = tol or Tolerances()
     if t_lower is None:
-        t_lower = _default_t_lower(instance, tol)
+        t_lower = _default_t_lower(instance)
     if t_upper is None:
         cvar = solve_cvar(instance, tol)
         if not cvar.optimal:

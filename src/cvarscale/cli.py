@@ -65,7 +65,6 @@ _INPUT_ERRORS = (
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     d = Tolerances()
     p.add_argument("--feas-tol", type=float, default=d.feas_tol)
-    p.add_argument("--opt-tol", type=float, default=d.opt_tol)
     p.add_argument("--delta1", type=float, default=d.delta1)
     p.add_argument("--delta2", type=float, default=d.delta2)
     p.add_argument("--delta-bar", type=float, default=d.delta_bar)
@@ -77,7 +76,6 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
 def _tolerances(args) -> Tolerances:
     return Tolerances(
         feas_tol=args.feas_tol,
-        opt_tol=args.opt_tol,
         delta1=args.delta1,
         delta2=args.delta2,
         delta_bar=args.delta_bar,
@@ -121,6 +119,19 @@ def _initial_point(instance, args, tol) -> np.ndarray:
     return sol.x
 
 
+def _point_doc(instance, objective, x, alpha, tol) -> dict:
+    """Solution document for a point that carries no (beta, s)."""
+    return {
+        "objective": objective,
+        "x": [float(v) for v in x],
+        "beta": None,
+        "s": None,
+        "alpha": [float(v) for v in alpha],
+        "status": "optimal",
+        "violation_prob": violation_probability(instance, x, tol.feas_tol),
+    }
+
+
 def cmd_solve(args) -> int:
     instance = _load(args.instance)
     tol = _tolerances(args)
@@ -133,7 +144,7 @@ def cmd_solve(args) -> int:
             print("infeasible: the plain CVaR approximation has no feasible point",
                   file=sys.stderr)
             return EXIT_INFEASIBLE
-        doc = sol.to_dict(instance)
+        doc = sol.to_dict(instance, tol.feas_tol)
     elif args.method == "scaled":
         if not args.alpha_file:
             raise ConfigError("--method scaled requires --alpha-file")
@@ -142,32 +153,16 @@ def cmd_solve(args) -> int:
         if not sol.optimal:
             print("infeasible at the supplied scaling factors", file=sys.stderr)
             return EXIT_INFEASIBLE
-        doc = sol.to_dict(instance)
+        doc = sol.to_dict(instance, tol.feas_tol)
     elif args.method == "exact":
         res = brute_force_optimal(instance, tol=tol)
-        doc = {
-            "objective": res.v_star,
-            "x": [float(v) for v in res.x_star],
-            "beta": None,
-            "s": None,
-            "alpha": [1.0] * instance.N,
-            "status": "optimal",
-            "violation_prob": violation_probability(instance, res.x_star, tol.feas_tol),
-            "satisfied_set": list(res.satisfied_set),
-        }
+        doc = _point_doc(instance, res.v_star, res.x_star, [1.0] * instance.N, tol)
+        doc["satisfied_set"] = list(res.satisfied_set)
     elif args.method in ("alsox", "alsox-scaled"):
         run = alsox_sharp if args.method == "alsox" else alsox_sharp_scaled
         rep = run(instance, tol=tol)
-        doc = {
-            "objective": rep.objective,
-            "x": [float(v) for v in rep.x],
-            "beta": None,
-            "s": None,
-            "alpha": [1.0] * instance.N,
-            "status": "optimal",
-            "violation_prob": violation_probability(instance, rep.x, tol.feas_tol),
-            "t_upper": rep.t_upper,
-        }
+        doc = _point_doc(instance, rep.objective, rep.x, [1.0] * instance.N, tol)
+        doc["t_upper"] = rep.t_upper
         trace_doc = rep.to_dict()
     else:  # alg1 / alg2 / alg3
         x0 = _initial_point(instance, args, tol)
@@ -187,17 +182,9 @@ def cmd_solve(args) -> int:
         # slacks and can only improve the value
         sol = solve_scaled_cvar(instance, ScalingVector(inc.alpha), tol)
         if sol.optimal and sol.objective <= inc.objective + 1e-9:
-            doc = sol.to_dict(instance)
+            doc = sol.to_dict(instance, tol.feas_tol)
         else:
-            doc = {
-                "objective": inc.objective,
-                "x": [float(v) for v in inc.x],
-                "beta": None,
-                "s": None,
-                "alpha": [float(v) for v in inc.alpha],
-                "status": "optimal",
-                "violation_prob": violation_probability(instance, inc.x, tol.feas_tol),
-            }
+            doc = _point_doc(instance, inc.objective, inc.x, inc.alpha, tol)
         trace_doc = trace.to_dict()
 
     if trace_doc is not None and args.trace_file:

@@ -15,6 +15,7 @@ per-iteration cost dominated by one Cholesky factorization.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +28,6 @@ __all__ = ["solve_socp"]
 
 _MAX_ITER = 200
 _FEAS_TOL = 1e-8
-_GAP_TOL = 1e-8
 _STEP_DAMP = 0.99
 _REG = 1e-12
 
@@ -404,16 +404,22 @@ class _RowSplit:
         mask[:l] = nnz[:l] == 1
         self.simple = np.flatnonzero(mask)
         self.dense = np.flatnonzero(~mask)
-        if self.simple.size:
-            self.cols = np.argmax(G[self.simple] != 0, axis=1)
-            self.coef = G[self.simple, self.cols]
-        else:
-            self.cols = np.zeros(0, dtype=int)
-            self.coef = np.zeros(0)
+        self.cols = np.argmax(G[self.simple] != 0, axis=1)
         self.layers = _add_at_layers(self.cols)
         self.diag = np.arange(G.shape[1])
-        self.G_dense = np.ascontiguousarray(G[self.dense])
         self.m = G.shape[0]
+        self._take(G)
+
+    def _take(self, G: np.ndarray) -> None:
+        self.G_dense = np.ascontiguousarray(G[self.dense])
+        self.coef = G[self.simple, self.cols]
+
+    def with_rows(self, G: np.ndarray) -> "_RowSplit":
+        """The same split over the NT-scaled rows of G.  The scaling is
+        diagonal on the orthant, so each bound row keeps its one column."""
+        other = copy.copy(self)
+        other._take(G)
+        return other
 
     def add_simple(self, out: np.ndarray, vals: np.ndarray) -> None:
         """``np.add.at(out, self.cols, vals)``: bound-row terms into a column
@@ -444,37 +450,23 @@ class _KKT:
     """
 
     def __init__(self, G: np.ndarray, W: _NTScaling | None, split: _RowSplit):
-        self.G = G
         self.W = W
         self.split = split
-        Gt = W.scale_rows(G) if W is not None else G
-        self.dense = np.ascontiguousarray(Gt[split.dense])
-        self.simple_coef = Gt[split.simple, split.cols]
-        M = self.dense.T @ self.dense
-        sq = self.simple_coef * self.simple_coef
+        # the rows of Gt = W^-1 G, split like G's
+        self.scaled = split.with_rows(W.scale_rows(G)) if W is not None else split
+        dense, coef = self.scaled.G_dense, self.scaled.coef
+        M = dense.T @ dense
+        sq = coef * coef
         for pos, cols in split.layers:
             M[cols, cols] += sq[pos]
         M[split.diag, split.diag] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
         self.chol = _cho_factor(M)
 
-    def _matvec(self, u: np.ndarray) -> np.ndarray:
-        """Gt @ u using the split rows."""
-        out = np.empty(self.G.shape[0])
-        out[self.split.dense] = self.dense @ u
-        out[self.split.simple] = self.simple_coef * u[self.split.cols]
-        return out
-
-    def _rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """Gt.T @ w using the split rows."""
-        out = self.dense.T @ w[self.split.dense]
-        self.split.add_simple(out, self.simple_coef * w[self.split.simple])
-        return out
-
     def _solve_raw(self, p: np.ndarray, q: np.ndarray):
         Winv_q = self.W.apply_inv(q) if self.W is not None else q
-        rhs = p + self._rmatvec(Winv_q)
+        rhs = p + self.scaled.rmatvec(Winv_q)
         u = _cho_solve(self.chol, rhs)
-        t = self._matvec(u) - Winv_q
+        t = self.scaled.matvec(u) - Winv_q
         v = self.W.apply_inv(t) if self.W is not None else t
         return u, v
 
@@ -514,16 +506,15 @@ def _result(status, z, obj, pres, dres, gap, iters) -> SolveResult:
     )
 
 
-def solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
+def solve_socp(spec: SocpSpec, tol: float = _FEAS_TOL) -> SolveResult:
+    """Solve the SOCP to residuals and relative gap at most ``tol``."""
     # boundary iterates can transiently produce inf/nan; every such case is
     # caught explicitly, so silence the intermediate floating-point warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _solve_socp(spec, tolerances)
+        return _solve_socp(spec, tol)
 
 
-def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
-    feas_tol = getattr(tolerances, "opt_tol", None) or _FEAS_TOL
-    gap_tol = feas_tol
+def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
     c = spec.c.copy()
     n = spec.n
     G, h, lay = _assemble(spec)
@@ -560,7 +551,7 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
         pobj = c @ xh
         gap_abs = sh @ zh
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
-        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
+        if pres <= tol and dres <= tol and relgap <= tol:
             return _result(SolveStatus.OPTIMAL, xh, float(pobj), float(pres), float(dres),
                            float(max(gap_abs, 0.0)), it)
         merit = pres + dres + relgap
@@ -670,7 +661,7 @@ def _solve_socp(spec: SocpSpec, tolerances=None) -> SolveResult:
     if best is not None:
         _, xh, pobj, pres, dres, gap_abs, _ = best
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
-        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
+        if pres <= tol and dres <= tol and relgap <= tol:
             return _result(SolveStatus.OPTIMAL, xh, pobj, pres, dres, gap_abs, it)
         if pres <= 1e-6 and dres <= 1e-6:
             # stalled short of full accuracy; report honestly as an iteration limit

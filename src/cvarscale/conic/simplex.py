@@ -382,7 +382,7 @@ def _resume(spec: LinearProgramSpec, basis: np.ndarray) -> tuple[SolveResult | N
     return (res if res.status == SolveStatus.OPTIMAL else None), pivots
 
 
-def solve_lp(spec: LinearProgramSpec, tolerances=None, basis=None) -> SolveResult:
+def solve_lp(spec: LinearProgramSpec, *, basis=None) -> SolveResult:
     """Solve the LP; re-solve once under Bland's rule if certification fails.
 
     ``basis`` is the ``SolveResult.basis`` of an earlier solve of the same LP

@@ -58,7 +58,8 @@ class CvarSolution:
     def optimal(self) -> bool:
         return self.status == SolveStatus.OPTIMAL
 
-    def to_dict(self, instance: CcpInstance | None = None) -> dict:
+    def to_dict(self, instance: CcpInstance | None = None, feas_tol: float = 1e-6) -> dict:
+        """JSON document; ``violation_prob`` counts rows above ``feas_tol``."""
         doc = {
             "objective": None if np.isnan(self.objective) else float(self.objective),
             "x": None if self.x is None else [float(v) for v in self.x],
@@ -68,10 +69,83 @@ class CvarSolution:
             "status": self.status.value,
         }
         if instance is not None and self.x is not None:
-            doc["violation_prob"] = violation_probability(instance, self.x)
+            doc["violation_prob"] = violation_probability(instance, self.x, feas_tol)
         else:
             doc["violation_prob"] = None
         return doc
+
+
+def _scenario_rows(
+    instance: CcpInstance, alpha: np.ndarray, width: int, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows alpha_i W_ij.x - beta - s_i <= -alpha_i d_ij over (x, beta, s).
+
+    Zero columns pad them to ``width``.  ``keep``, a mask over scenarios,
+    selects the scenarios whose rows are written, in scenario-major order.
+    """
+    n, N, J = instance.n, instance.N, instance.J
+    alpha_rows = np.repeat(alpha, J)
+    A = np.zeros((N * J, width))
+    A[:, :n] = alpha_rows[:, None] * instance.w_stack
+    A[:, n] = -1.0
+    A[np.arange(N * J), n + 1 + np.repeat(np.arange(N), J)] = -1.0
+    b = -alpha_rows * instance.d_stack
+    if keep is None:
+        return A, b
+    rows = np.repeat(keep, J)
+    return A[rows], b[rows]
+
+
+def _head_rows(
+    instance: CcpInstance,
+    tail: np.ndarray,
+    budget: float | None = None,
+    width: int | None = None,
+    beta_floor: bool = True,
+):
+    """Objective, head rows and bounds over (x, beta, tail) as (c, A, b, lb, ub).
+
+    The tail columns carry the weights ``tail`` in the risk row
+    eps * beta + tail . s <= 0 and are nonnegative.  With ``budget`` the
+    objective form is written instead: minimize that hinge loss under
+    c.x <= budget (no row when the budget is infinite).  The domain rows and
+    the beta floor follow.  Zero columns pad c and A to ``width``; lb and ub
+    cover (x, beta, tail) only.
+    """
+    n, dom = instance.n, instance.domain
+    tail_cols = slice(n + 1, n + 1 + tail.shape[0])
+    width = n + 1 + tail.shape[0] if width is None else width
+    c = np.zeros(width)
+    rows, rhs = [], []
+    if budget is None:
+        risk = np.zeros((1, width))
+        risk[0, n] = instance.epsilon
+        risk[0, tail_cols] = tail
+        rows.append(risk)
+        rhs.append(np.zeros(1))
+        c[:n] = instance.c
+    else:
+        if np.isfinite(budget):
+            row = np.zeros((1, width))
+            row[0, :n] = instance.c
+            rows.append(row)
+            rhs.append(np.array([budget]))
+        c[n] = instance.epsilon
+        c[tail_cols] = tail
+    if dom.P is not None:
+        ext = np.zeros((dom.n_rows, width))
+        ext[:, :n] = dom.P
+        rows.append(ext)
+        rhs.append(dom.q)
+    if beta_floor:
+        # deep floor on beta so degenerate instances cannot report unbounded rays
+        floor = np.zeros((1, width))
+        floor[0, n] = -1.0
+        rows.append(floor)
+        rhs.append(np.array([_BETA_FLOOR]))
+    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(tail.shape[0])])
+    ub = np.concatenate([dom.ub, [0.0], np.full(tail.shape[0], np.inf)])
+    return c, np.vstack(rows), np.concatenate(rhs), lb, ub
 
 
 def build_scaled_cvar_lp(
@@ -83,49 +157,10 @@ def build_scaled_cvar_lp(
     eps * beta + sum_i p_i s_i is minimized under the budget row c.x <= budget
     (left out when the budget is infinite).
     """
-    n, N, J = instance.n, instance.N, instance.J
-    nv = n + 1 + N
-    alpha_rows = np.repeat(alpha, J)
-
-    scen = np.zeros((N * J, nv))
-    scen[:, :n] = alpha_rows[:, None] * instance.w_stack
-    scen[:, n] = -1.0
-    scen[np.arange(N * J), n + 1 + np.repeat(np.arange(N), J)] = -1.0
-    scen_rhs = -alpha_rows * instance.d_stack
-
-    rows = [scen]
-    rhs = [scen_rhs]
-    c = np.zeros(nv)
-    if budget is None:
-        risk = np.zeros((1, nv))
-        risk[0, n] = instance.epsilon
-        risk[0, n + 1 :] = instance.probs
-        rows.append(risk)
-        rhs.append(np.zeros(1))
-        c[:n] = instance.c
-    else:
-        if np.isfinite(budget):
-            row = np.zeros((1, nv))
-            row[0, :n] = instance.c
-            rows.append(row)
-            rhs.append(np.array([budget]))
-        c[n] = instance.epsilon
-        c[n + 1 :] = instance.probs
-    dom = instance.domain
-    if dom.P is not None:
-        ext = np.zeros((dom.P.shape[0], nv))
-        ext[:, :n] = dom.P
-        rows.append(ext)
-        rhs.append(dom.q)
-    # deep floor on beta so degenerate instances cannot report unbounded rays
-    floor = np.zeros((1, nv))
-    floor[0, n] = -1.0
-    rows.append(floor)
-    rhs.append(np.array([_BETA_FLOOR]))
-
-    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(N)])
-    ub = np.concatenate([dom.ub, [0.0], np.full(N, np.inf)])
-    return LinearProgramSpec(c=c, A=np.vstack(rows), b=np.concatenate(rhs), lb=lb, ub=ub)
+    scen, scen_rhs = _scenario_rows(instance, alpha, instance.n + 1 + instance.N)
+    c, head, head_rhs, lb, ub = _head_rows(instance, instance.probs, budget)
+    return LinearProgramSpec(c=c, A=np.vstack([scen, head]),
+                             b=np.concatenate([scen_rhs, head_rhs]), lb=lb, ub=ub)
 
 
 def _no_solution(alpha: np.ndarray, status: SolveStatus) -> CvarSolution:
@@ -133,9 +168,9 @@ def _no_solution(alpha: np.ndarray, status: SolveStatus) -> CvarSolution:
 
 
 def _solve_explicit(
-    instance: CcpInstance, alpha: np.ndarray, tol: Tolerances, budget: float | None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None
 ) -> CvarSolution:
-    res = solve_lp(build_scaled_cvar_lp(instance, alpha, budget), tol)
+    res = solve_lp(build_scaled_cvar_lp(instance, alpha, budget))
     if res.status != SolveStatus.OPTIMAL:
         return _no_solution(alpha, res.status)
     n, N = instance.n, instance.N
@@ -187,7 +222,7 @@ _POOL_FLOOR = 32
 
 
 def _solve_by_cuts(
-    instance: CcpInstance, alpha: np.ndarray, tol: Tolerances, budget: float | None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None
 ) -> CvarSolution:
     """The scaled LP over (x, beta, theta) by aggregated hinge cuts.
 
@@ -202,24 +237,7 @@ def _solve_by_cuts(
     """
     n, N = instance.n, instance.N
     p, eps, dom = instance.probs, instance.epsilon, instance.domain
-    zeros2 = np.zeros(2)
-    head, head_rhs = [], []
-    if budget is None:
-        c = np.concatenate([instance.c, zeros2])
-        head.append(np.concatenate([np.zeros(n), [eps, 1.0]]))
-        head_rhs.append(0.0)
-    else:
-        c = np.concatenate([np.zeros(n), [eps, 1.0]])
-        if np.isfinite(budget):
-            head.append(np.concatenate([instance.c, zeros2]))
-            head_rhs.append(budget)
-    if dom.P is not None:
-        head.extend(np.hstack([dom.P, np.zeros((dom.n_rows, 2))]))
-        head_rhs.extend(dom.q)
-    head.append(np.concatenate([np.zeros(n), [-1.0, 0.0]]))
-    head_rhs.append(_BETA_FLOOR)
-    lb = np.concatenate([dom.lb, [-np.inf, 0.0]])
-    ub = np.concatenate([dom.ub, [0.0, np.inf]])
+    c, head, head_rhs, lb, ub = _head_rows(instance, np.ones(1), budget)
 
     cuts: dict[bytes, tuple[np.ndarray, float]] = {}
 
@@ -236,10 +254,9 @@ def _solve_by_cuts(
     boxed = None
     basis = None  # new cuts are appended, so each round resumes from the last basis
     while True:
-        rows = head + [row for row, _ in cuts.values()]
-        rhs = head_rhs + [r for _, r in cuts.values()]
-        res = solve_lp(LinearProgramSpec(c=c, A=np.vstack(rows), b=np.array(rhs), lb=lb, ub=ub),
-                       tol, basis=basis)
+        A = np.vstack([head, *(row for row, _ in cuts.values())])
+        b = np.concatenate([head_rhs, [r for _, r in cuts.values()]])
+        res = solve_lp(LinearProgramSpec(c=c, A=A, b=b, lb=lb, ub=ub), basis=basis)
         basis = res.basis
         if res.status == SolveStatus.UNBOUNDED and boxed is None:
             open_lb, open_ub = ~np.isfinite(dom.lb), ~np.isfinite(dom.ub)
@@ -258,13 +275,13 @@ def _solve_by_cuts(
         if violation <= 1e-9 * (1.0 + abs(theta)) or not hold(row, rhs):
             break
         if len(cuts) > max(_POOL_FLOOR, N * instance.J // 4):
-            return _solve_explicit(instance, alpha, tol, budget)
+            return _solve_explicit(instance, alpha, budget)
         order, k = _sorted_tail(loss, p, eps)
         for size in range(max(k - 1, 1), min(k + 1, N) + 1):
             hold(*_hinge_cut(p, aW, ad, order[:size]))
 
     if boxed is not None and np.any(np.abs(x - centre)[boxed] >= 0.5 * _X_BOX):
-        return _solve_explicit(instance, alpha, tol, budget)
+        return _solve_explicit(instance, alpha, budget)
     s = np.maximum(loss - beta, 0.0)
     objective = res.objective if budget is None else eps * beta + float(p @ s)
     return CvarSolution(x=x, beta=beta, s=s, alpha=alpha, objective=objective,
@@ -272,12 +289,12 @@ def _solve_by_cuts(
 
 
 def _solve_hinge(
-    instance: CcpInstance, alpha: np.ndarray, tol: Tolerances, budget: float | None = None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None = None
 ) -> CvarSolution:
     """The scaled LP (objective form when ``budget`` is given) on the faster path."""
     if instance.N * instance.J > _CUT_ROWS:
-        return _solve_by_cuts(instance, alpha, tol, budget)
-    return _solve_explicit(instance, alpha, tol, budget)
+        return _solve_by_cuts(instance, alpha, budget)
+    return _solve_explicit(instance, alpha, budget)
 
 
 def solve_scaled_cvar(
@@ -293,7 +310,7 @@ def solve_scaled_cvar(
         raise DimensionMismatch(f"alpha has {len(alpha)} entries, expected {instance.N}")
     alpha.check(tol.alpha_max)
 
-    sol = _solve_hinge(instance, alpha.alpha, tol)
+    sol = _solve_hinge(instance, alpha.alpha)
     if sol.status == SolveStatus.OPTIMAL:
         if sol.beta <= -0.999 * _BETA_FLOOR:
             warnings.warn("beta floor active; solution may sit on the artificial bound")
@@ -336,7 +353,7 @@ def scaled_feasibility_at_x(
     c = np.concatenate([np.ones(N), [0.0], np.zeros(N)])
     lb = np.concatenate([np.ones(N), [-np.inf], np.zeros(N)])
     ub = np.concatenate([np.full(N, tol.alpha_max), [0.0], np.full(N, np.inf)])
-    res = solve_lp(LinearProgramSpec(c=c, A=rows, b=rhs, lb=lb, ub=ub), tol)
+    res = solve_lp(LinearProgramSpec(c=c, A=rows, b=rhs, lb=lb, ub=ub))
     if res.status == SolveStatus.OPTIMAL:
         z = res.z
         return z[:N], float(z[N]), z[N + 1 :]

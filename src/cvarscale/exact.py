@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import LinearProgramSpec, SolveStatus, solve_lp
+from .conic import SolveStatus, solve_lp
 from .errors import InfeasibleProblem, SolverFailure, TooLarge
-from .model import CcpInstance, Tolerances, chance_feasible
+from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible
 
 __all__ = ["ExactResult", "brute_force_optimal", "grid_brute_force", "minimal_support_size"]
 
@@ -59,20 +59,13 @@ def _minimal_subsets(instance: CcpInstance):
         yield tuple(i for i in range(N) if mask >> i & 1)
 
 
-def _subset_lp(instance: CcpInstance, subset, tol: Tolerances):
-    dom = instance.domain
-    rows = [instance.scenarios[i].W for i in subset]
-    rhs = [-instance.scenarios[i].d for i in subset]
-    if dom.P is not None:
-        rows.append(dom.P)
-        rhs.append(dom.q)
-    if not rows:
-        rows = [np.zeros((0, instance.n))]
-        rhs = [np.zeros(0)]
-    spec = LinearProgramSpec(
-        c=instance.c, A=np.vstack(rows), b=np.concatenate(rhs), lb=dom.lb, ub=dom.ub
-    )
-    return solve_lp(spec, tol)
+def _subset_lp(instance: CcpInstance, subset):
+    """min c.x over the domain with every row of the (sorted) scenario subset."""
+    keep = np.zeros(instance.N, dtype=bool)
+    keep[list(subset)] = True
+    rows = np.repeat(keep, instance.J)
+    return solve_lp(_domain_lp(instance, instance.c, instance.w_stack[rows],
+                               -instance.d_stack[rows]))
 
 
 def brute_force_optimal(
@@ -81,9 +74,10 @@ def brute_force_optimal(
     """Exact optimum by enumerating minimal satisfied-scenario subsets.
 
     Ties between subsets are broken by enumeration order (lexicographically
-    smallest subset wins), making the result deterministic.
+    smallest subset wins), making the result deterministic.  ``tol`` is
+    accepted like the other methods' but unused: the LP solves have no
+    tolerance to set.
     """
-    tol = tol or Tolerances()
     if instance.N > max_scenarios:
         raise TooLarge(f"N={instance.N} exceeds the enumeration cap {max_scenarios}")
     best_obj = np.inf
@@ -91,7 +85,7 @@ def brute_force_optimal(
     best_subset = None
     solved = 0
     for subset in _minimal_subsets(instance):
-        res = _subset_lp(instance, subset, tol)
+        res = _subset_lp(instance, subset)
         solved += 1
         if res.status == SolveStatus.OPTIMAL and res.objective < best_obj - 1e-12:
             best_obj = res.objective

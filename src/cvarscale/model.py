@@ -210,7 +210,6 @@ class Tolerances:
     """Numerical knobs shared by all algorithms.
 
     feas_tol    constraint satisfaction slack when counting violations
-    opt_tol     solver optimality (duality gap / KKT residual) target
     delta1      stopping threshold on objective change between iterations
     delta2      strict-satisfaction threshold used to pick scaled scenarios
     delta_bar   margin required of a strict-feasibility certificate point
@@ -220,7 +219,6 @@ class Tolerances:
     """
 
     feas_tol: float = 1e-6
-    opt_tol: float = 1e-8
     delta1: float = 1e-4
     delta2: float = -0.005
     delta_bar: float = -1e-5
@@ -233,7 +231,7 @@ class Tolerances:
             raise ToleranceError("delta2 must be <= 0")
         if not self.delta_bar < 0:
             raise ToleranceError("delta_bar must be < 0")
-        for name in ("feas_tol", "opt_tol", "delta1", "alpha_max", "delta_A"):
+        for name in ("feas_tol", "delta1", "alpha_max", "delta_A"):
             if not getattr(self, name) > 0:
                 raise ToleranceError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -382,6 +380,23 @@ def with_extra_domain_rows(instance: CcpInstance, rows, rhs) -> CcpInstance:
 # ---------------------------------------------------------------------------
 
 
+def _domain_lp(instance: CcpInstance, c, rows=None, rhs=None):
+    """The LP  min c.x  over the domain and the extra rows ``rows @ x <= rhs``.
+
+    The extra rows come first, then the domain rows; the bounds are the
+    domain's.  Returns a ``LinearProgramSpec``.
+    """
+    from .conic import LinearProgramSpec
+
+    dom = instance.domain
+    A = [np.zeros((0, instance.n)) if rows is None else rows]
+    b = [np.zeros(0) if rhs is None else rhs]
+    if dom.P is not None:
+        A.append(dom.P)
+        b.append(dom.q)
+    return LinearProgramSpec(c=c, A=np.vstack(A), b=np.concatenate(b), lb=dom.lb, ub=dom.ub)
+
+
 def certificate_point(
     instance: CcpInstance, delta_bar: float = -1e-5
 ) -> np.ndarray | None:
@@ -392,23 +407,10 @@ def certificate_point(
     """
     if not delta_bar < 0:
         raise ToleranceError("delta_bar must be < 0")
-    from .conic import LinearProgramSpec, SolveStatus, solve_lp
+    from .conic import SolveStatus, solve_lp
 
-    n = instance.n
-    rows = [instance.w_stack]
-    rhs = [np.full(instance.w_stack.shape[0], delta_bar) - instance.d_stack]
-    dom = instance.domain
-    if dom.P is not None:
-        rows.append(dom.P)
-        rhs.append(dom.q)
-    spec = LinearProgramSpec(
-        c=np.zeros(n),
-        A=np.vstack(rows),
-        b=np.concatenate(rhs),
-        lb=dom.lb,
-        ub=dom.ub,
-    )
-    res = solve_lp(spec, Tolerances())
+    rhs = np.full(instance.w_stack.shape[0], delta_bar) - instance.d_stack
+    res = solve_lp(_domain_lp(instance, np.zeros(instance.n), instance.w_stack, rhs))
     if res.status == SolveStatus.OPTIMAL:
         return res.z
     if res.status == SolveStatus.INFEASIBLE:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import SocCone, SocpSpec, SolveStatus, solve_socp
-from .cvar import solve_scaled_cvar
+from .cvar import _head_rows, _scenario_rows, solve_scaled_cvar
 from .errors import InfeasibleProblem, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, g_max_all
 from .scaling import IterationTrace, Termination, scaling_heuristic
@@ -33,9 +33,9 @@ __all__ = [
     "hybrid_refine",
 ]
 
-# subproblem solves run tighter than the reporting tolerance so that the
+# subproblem solves run tighter than the solver default (1e-8) so that the
 # recorded objective sequence is monotone well inside 1e-9
-_INNER_TOL = Tolerances(opt_tol=1e-9)
+_INNER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,73 +89,45 @@ def build_dc_subproblem(
     tol = tol or Tolerances()
     n, N, J = instance.n, instance.N, instance.J
     relax = np.zeros(N, dtype=bool)
-    members = sorted({int(i) for i in relax_set})  # 0-based scenario positions
-    if members:
-        relax[np.asarray(members, dtype=int)] = True
-    relax_idx = np.flatnonzero(relax)
-    col_of = {int(i): n + 1 + N + k for k, i in enumerate(relax_idx)}
-    nv = n + 1 + N + relax_idx.size
-
+    relax[np.asarray(list(relax_set), dtype=int)] = True  # 0-based scenario positions
+    n_relax = int(relax.sum())
+    nv = n + 1 + N + n_relax
     tangent = SquareTangent.at(instance, x_k, alpha_k)
 
-    lin_rows, lin_rhs, cones = [], [], []
-    risk = np.zeros(nv)
-    risk[n] = instance.epsilon
-    risk[n + 1 : n + 1 + N] = instance.probs
-    lin_rows.append(risk)
-    lin_rhs.append(0.0)
+    # linear rows: the risk row, the rows of the scenarios kept at factor one
+    # and the domain rows.  No beta floor here: the risk row bounds beta
+    # because the probabilities sum to one and eps < 1
+    c, head, head_rhs, lb, ub = _head_rows(instance, instance.probs, width=nv, beta_floor=False)
+    scen, scen_rhs = _scenario_rows(instance, np.ones(N), nv, keep=~relax)
+    A = np.vstack([head[:1], scen, head[1:]])
+    b = np.concatenate([head_rhs[:1], scen_rhs, head_rhs[1:]])
 
-    for i, scen in enumerate(instance.scenarios):
-        if not relax[i]:
-            for j in range(scen.J):
-                row = np.zeros(nv)
-                row[:n] = scen.W[j]
-                row[n] = -1.0
-                row[n + 1 + i] = -1.0
-                lin_rows.append(row)
-                lin_rhs.append(-scen.d[j])
-            continue
-        ai_col = col_of[i]
-        for j in range(scen.J):
-            a = tangent.slope[i, j]
-            # q = alpha_i + g_j(x);  r = 4(s_i + beta) + tangent_ij
-            q_coef = np.zeros(nv)
-            q_coef[:n] = scen.W[j]
-            q_coef[ai_col] = 1.0
-            q_const = scen.d[j]
-            r_coef = np.zeros(nv)
-            r_coef[:n] = -2.0 * a * scen.W[j]
-            r_coef[n] = 4.0
-            r_coef[n + 1 + i] = 4.0
-            r_coef[ai_col] = 2.0 * a
-            r_const = (
-                a * a
-                - 2.0 * a * tangent.anchor_alpha[i]
-                + 2.0 * a * float(scen.W[j] @ tangent.anchor_x)
-            )
-            F = np.vstack([2.0 * q_coef, -r_coef])
-            f = np.array([2.0 * q_const, 1.0 - r_const])
-            cones.append(SocCone(F=F, f=f, g=r_coef, h=1.0 + r_const))
+    # one cone per row of a relaxed scenario, scenario-major:
+    # q = alpha_i + g_j(x);  r = 4(s_i + beta) + tangent_ij
+    rows = np.flatnonzero(np.repeat(relax, J))
+    scen_of = rows // J
+    k = np.arange(rows.size)
+    alpha_col = n + 1 + N + k // J
+    a = tangent.slope.ravel()[rows]
+    W, d = instance.w_stack[rows], instance.d_stack[rows]
+    q_coef = np.zeros((rows.size, nv))
+    q_coef[:, :n] = W
+    q_coef[k, alpha_col] = 1.0
+    r_coef = np.zeros((rows.size, nv))
+    r_coef[:, :n] = -2.0 * a[:, None] * W
+    r_coef[:, n] = 4.0
+    r_coef[k, n + 1 + scen_of] = 4.0
+    r_coef[k, alpha_col] = 2.0 * a
+    # each row's own 1-D dot: a batched W @ x rounds differently
+    w_dot_x = np.array([float(w @ tangent.anchor_x) for w in W])
+    r_const = a * a - 2.0 * a * tangent.anchor_alpha[scen_of] + 2.0 * a * w_dot_x
+    F = np.stack([2.0 * q_coef, -r_coef], axis=1)
+    f = np.stack([2.0 * d, 1.0 - r_const], axis=1)
+    cones = tuple(SocCone(F=F[i], f=f[i], g=r_coef[i], h=1.0 + r_const[i]) for i in k)
 
-    dom = instance.domain
-    if dom.P is not None:
-        for r in range(dom.P.shape[0]):
-            row = np.zeros(nv)
-            row[:n] = dom.P[r]
-            lin_rows.append(row)
-            lin_rhs.append(dom.q[r])
-    # no explicit floor on beta here: the risk row bounds it because the
-    # probabilities sum to one and eps < 1
-
-    c = np.zeros(nv)
-    c[:n] = instance.c
-    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(N), np.ones(relax_idx.size)])
-    ub = np.concatenate(
-        [dom.ub, [0.0], np.full(N, np.inf), np.full(relax_idx.size, tol.alpha_max)]
-    )
-    return SocpSpec(
-        c=c, A=np.vstack(lin_rows), b=np.array(lin_rhs), cones=tuple(cones), lb=lb, ub=ub
-    )
+    lb = np.concatenate([lb, np.ones(n_relax)])
+    ub = np.concatenate([ub, np.full(n_relax, tol.alpha_max)])
+    return SocpSpec(c=c, A=A, b=b, cones=cones, lb=lb, ub=ub)
 
 
 def point_feasible_in_subproblem(

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conic import LinearProgramSpec, SolveStatus, solve_lp
+from .conic import SolveStatus, solve_lp
 from .cvar import solve_scaled_cvar
 from .errors import ConditionViolated, DimensionMismatch, InfeasibleProblem, SolverFailure
-from .model import CcpInstance, ScalingVector, Tolerances, g_max_all
+from .model import CcpInstance, ScalingVector, Tolerances, _domain_lp, g_max_all
 
 __all__ = [
     "ScalingConstruction",
@@ -265,21 +265,12 @@ def scenario_cost_floors(instance: CcpInstance, tol: Tolerances | None = None) -
     """Cheapest cost of satisfying each single scenario over the domain.
 
     Entry i is  min c.x  s.t.  x in domain and all rows of scenario i <= 0,
-    or +inf when that slice of the domain is empty.
+    or +inf when that slice of the domain is empty.  ``tol`` is accepted like
+    the other methods' but unused: the LP solves have no tolerance to set.
     """
-    tol = tol or Tolerances()
-    dom = instance.domain
     floors = np.empty(instance.N)
     for i, scen in enumerate(instance.scenarios):
-        rows = [scen.W]
-        rhs = [-scen.d]
-        if dom.P is not None:
-            rows.append(dom.P)
-            rhs.append(dom.q)
-        spec = LinearProgramSpec(
-            c=instance.c, A=np.vstack(rows), b=np.concatenate(rhs), lb=dom.lb, ub=dom.ub
-        )
-        res = solve_lp(spec, tol)
+        res = solve_lp(_domain_lp(instance, instance.c, scen.W, -scen.d))
         if res.status == SolveStatus.OPTIMAL:
             floors[i] = res.objective
         elif res.status == SolveStatus.INFEASIBLE:

@@ -89,6 +89,34 @@ class TestSolveCommand:
         assert doc["objective"] == pytest.approx(0.0, abs=1e-7)
 
 
+    def test_violation_prob_follows_feas_tol(self, tmp_path):
+        # at the plain CVaR point some scenario rows are positive; with a huge
+        # --feas-tol none counts as violated, for every method's document
+        path = tmp_path / "inst.json"
+        assert main(["generate", "--family", "portfolio", "--n", "10", "--N", "30",
+                     "--eps", "0.300333", "--seed", "5", "--out", str(path)]) == 0
+        docs = {}
+        for method in ("cvar", "alsox"):
+            for feas_tol in ("1e-6", "100"):
+                out = tmp_path / f"{method}-{feas_tol}.json"
+                assert main(["solve", str(path), "--method", method,
+                             "--feas-tol", feas_tol, "-o", str(out)]) == 0
+                docs[method, feas_tol] = json.loads(out.read_text())
+        assert docs["cvar", "1e-6"]["violation_prob"] > 0.0
+        for method in ("cvar", "alsox"):
+            assert docs[method, "100"]["violation_prob"] == 0.0
+
+    def test_point_documents_keep_key_order(self, two_scenario_file, tmp_path):
+        head = ["objective", "x", "beta", "s", "alpha", "status", "violation_prob"]
+        for method, extra in (("exact", ["satisfied_set"]), ("alsox", ["t_upper"])):
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", two_scenario_file, "--method", method, "-o", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert list(doc) == head + extra
+            assert doc["beta"] is None and doc["s"] is None
+            assert doc["alpha"] == [1.0, 1.0] and doc["status"] == "optimal"
+
+
 class TestSweepCommand:
     def test_reference_curve(self, two_scenario_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -100,7 +100,7 @@ class TestFixedPointFeasibility:
 
         inst = single_row_instance([1], [[-1], [2], [0.5], [3]], [1, -4, 0.5, -1], 0.3, "rows")
         seen = []
-        monkeypatch.setattr(cvar, "solve_lp", lambda spec, tol: seen.append(spec) or solve_lp(spec))
+        monkeypatch.setattr(cvar, "solve_lp", lambda spec: seen.append(spec) or solve_lp(spec))
         scaled_feasibility_at_x(inst, [1.0])
         worst = np.array([0.0, -2.0, 1.0, 2.0])
         N = inst.N

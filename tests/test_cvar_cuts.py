@@ -4,28 +4,28 @@ The cut solver is called directly, so the size rule that picks the path in
 ``solve_scaled_cvar`` and ``alsox.lower_level`` cannot bypass it.  Statuses
 must match, objectives must agree to 1e-9 relative, and the recovered
 (x, beta, s) must satisfy every row and bound of the explicit LP to 1e-9.
+The explicit LP and the master's head rows are also checked bit for bit
+against their construction before the shared row builders.
 """
 
 import numpy as np
 import pytest
 
-from cvarscale import CcpInstance, Domain, Scenario, Tolerances
+from cvarscale import CcpInstance, Domain, Scenario
 from cvarscale.bench import GeneratorConfig, generate
 from cvarscale.alsox import _default_t_lower
 from cvarscale.conic import SolveStatus, solve_lp
-from cvarscale.cvar import _solve_by_cuts, build_scaled_cvar_lp
+from cvarscale.cvar import _BETA_FLOOR, _head_rows, _solve_by_cuts, build_scaled_cvar_lp
 from tests.conftest import single_row_instance
 from tests.test_acceptance import _mixed_instance
-
-TOL = Tolerances()
 
 
 def assert_agree(inst, alpha=None, budget=None):
     """Solve both ways and compare; returns the common status."""
     alpha = np.ones(inst.N) if alpha is None else np.asarray(alpha, dtype=float)
     spec = build_scaled_cvar_lp(inst, alpha, budget)
-    ref = solve_lp(spec, TOL)
-    got = _solve_by_cuts(inst, alpha, TOL, budget)
+    ref = solve_lp(spec)
+    got = _solve_by_cuts(inst, alpha, budget)
     assert got.status == ref.status, inst.name
     if ref.status != SolveStatus.OPTIMAL:
         assert got.x is None
@@ -45,7 +45,7 @@ def corpus_head(count=50):
     while len(out) < count:
         inst = _mixed_instance(seed)
         seed += 1
-        if solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).optimal:
+        if solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N))).optimal:
             out.append(inst)
     return out
 
@@ -59,8 +59,8 @@ def test_corpus_plain_and_scaled():
 
 def test_corpus_lower_level():
     for inst in corpus_head():
-        plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
-        floor = _default_t_lower(inst, TOL)
+        plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N))).objective
+        floor = _default_t_lower(inst)
         assert assert_agree(inst, budget=plain) == SolveStatus.OPTIMAL
         assert assert_agree(inst, budget=0.5 * (plain + floor)) == SolveStatus.OPTIMAL
         assert assert_agree(inst, budget=np.inf) == SolveStatus.OPTIMAL
@@ -73,7 +73,7 @@ def test_portfolio_200(seed):
     assert assert_agree(inst) == SolveStatus.OPTIMAL
     alpha = np.random.default_rng(seed).uniform(1.0, 10.0, size=inst.N)
     assert_agree(inst, alpha=alpha)
-    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
+    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N))).objective
     assert_agree(inst, budget=0.8 * plain)
     assert_agree(inst, budget=np.inf)
 
@@ -90,7 +90,7 @@ def test_covering_j3(seed):
                                     seed=seed))
     assert assert_agree(inst) == SolveStatus.OPTIMAL
     assert_agree(inst, alpha=np.random.default_rng(seed).uniform(1.0, 10.0, size=inst.N))
-    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N)), TOL).objective
+    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N))).objective
     assert_agree(inst, budget=0.9 * plain)
 
 
@@ -111,7 +111,7 @@ def test_unbounded_domain_bounded_problem():
     # the tail cut of scenario 1 caps x at 1
     inst = single_row_instance([-1.0], [[1.0], [-1.0]], [-1.0, -5.0], 0.3, "boxed")
     assert assert_agree(inst) == SolveStatus.OPTIMAL
-    sol = _solve_by_cuts(inst, np.ones(2), TOL, None)
+    sol = _solve_by_cuts(inst, np.ones(2), None)
     assert sol.x == pytest.approx([1.0], abs=1e-9)
 
 
@@ -120,13 +120,17 @@ def test_unbounded_problem():
     assert assert_agree(inst) == SolveStatus.UNBOUNDED
 
 
-def test_free_variables():
+def free_instance():
+    """60 scenarios over one free and one nonnegative variable."""
     rng = np.random.default_rng(3)
     xi = rng.uniform(0.8, 1.2, size=(60, 2))
     scen = tuple(Scenario(W=-xi[i][None, :], d=[1.0], p=1 / 60) for i in range(60))
-    inst = CcpInstance(c=[1.0, 1.5], scenarios=scen, epsilon=0.2,
+    return CcpInstance(c=[1.0, 1.5], scenarios=scen, epsilon=0.2,
                        domain=Domain(lb=[-np.inf, 0.0], ub=[np.inf, np.inf]), name="free")
-    assert assert_agree(inst) == SolveStatus.OPTIMAL
+
+
+def test_free_variables():
+    assert assert_agree(free_instance()) == SolveStatus.OPTIMAL
 
 
 def test_tie_at_n_eps():
@@ -136,3 +140,91 @@ def test_tie_at_n_eps():
     inst = CcpInstance(c=base.c, scenarios=scen, epsilon=0.25, domain=base.domain, name="ties")
     assert assert_agree(inst) == SolveStatus.OPTIMAL
     assert assert_agree(inst, budget=np.inf) == SolveStatus.OPTIMAL
+
+
+def reference_scaled_cvar_lp(instance, alpha, budget=None):
+    """Reference: the explicit LP as built before the shared row builders."""
+    n, N, J = instance.n, instance.N, instance.J
+    nv = n + 1 + N
+    alpha_rows = np.repeat(alpha, J)
+    scen = np.zeros((N * J, nv))
+    scen[:, :n] = alpha_rows[:, None] * instance.w_stack
+    scen[:, n] = -1.0
+    scen[np.arange(N * J), n + 1 + np.repeat(np.arange(N), J)] = -1.0
+    rows, rhs = [scen], [-alpha_rows * instance.d_stack]
+    c = np.zeros(nv)
+    if budget is None:
+        risk = np.zeros((1, nv))
+        risk[0, n] = instance.epsilon
+        risk[0, n + 1 :] = instance.probs
+        rows.append(risk)
+        rhs.append(np.zeros(1))
+        c[:n] = instance.c
+    else:
+        if np.isfinite(budget):
+            row = np.zeros((1, nv))
+            row[0, :n] = instance.c
+            rows.append(row)
+            rhs.append(np.array([budget]))
+        c[n] = instance.epsilon
+        c[n + 1 :] = instance.probs
+    dom = instance.domain
+    if dom.P is not None:
+        ext = np.zeros((dom.P.shape[0], nv))
+        ext[:, :n] = dom.P
+        rows.append(ext)
+        rhs.append(dom.q)
+    floor = np.zeros((1, nv))
+    floor[0, n] = -1.0
+    rows.append(floor)
+    rhs.append(np.array([_BETA_FLOOR]))
+    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(N)])
+    ub = np.concatenate([dom.ub, [0.0], np.full(N, np.inf)])
+    return c, np.vstack(rows), np.concatenate(rhs), lb, ub
+
+
+def reference_master_head(instance, budget):
+    """Reference: the cut master's objective, head rows and bounds over (x, beta, theta)."""
+    n, eps, dom = instance.n, instance.epsilon, instance.domain
+    zeros2 = np.zeros(2)
+    head, head_rhs = [], []
+    if budget is None:
+        c = np.concatenate([instance.c, zeros2])
+        head.append(np.concatenate([np.zeros(n), [eps, 1.0]]))
+        head_rhs.append(0.0)
+    else:
+        c = np.concatenate([np.zeros(n), [eps, 1.0]])
+        if np.isfinite(budget):
+            head.append(np.concatenate([instance.c, zeros2]))
+            head_rhs.append(budget)
+    if dom.P is not None:
+        head.extend(np.hstack([dom.P, np.zeros((dom.n_rows, 2))]))
+        head_rhs.extend(dom.q)
+    head.append(np.concatenate([np.zeros(n), [-1.0, 0.0]]))
+    head_rhs.append(_BETA_FLOOR)
+    lb = np.concatenate([dom.lb, [-np.inf, 0.0]])
+    ub = np.concatenate([dom.ub, [0.0, np.inf]])
+    return c, np.vstack(head), np.array(head_rhs), lb, ub
+
+
+def builder_cases():
+    """Corpus instances (J = 1-3, with and without domain rows) and free variables."""
+    yield from corpus_head(30)
+    yield free_instance()
+
+
+def test_builders_match_reference_construction():
+    rng = np.random.default_rng(5)
+    for inst in builder_cases():
+        alphas = (np.ones(inst.N), rng.uniform(1.0, 10.0, size=inst.N))
+        for budget in (None, 1.5, np.inf):
+            for alpha in alphas:
+                spec = build_scaled_cvar_lp(inst, alpha, budget)
+                want = reference_scaled_cvar_lp(inst, alpha, budget)
+                for got, ref in zip((spec.c, spec.A, spec.b, spec.lb, spec.ub), want):
+                    assert np.array_equal(got, ref), inst.name
+                    assert got.tobytes() == ref.tobytes(), inst.name
+            head = _head_rows(inst, np.ones(1), budget)
+            for got, ref in zip(head, reference_master_head(inst, budget)):
+                assert np.array_equal(got, ref), inst.name
+                assert got.tobytes() == ref.tobytes(), inst.name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvarscale import ScalingVector, Tolerances, chance_feasible, g_max_all
-from cvarscale.conic import SolveStatus, solve_socp
+from cvarscale.conic import SocCone, SocpSpec, SolveStatus, solve_socp
 from cvarscale.cvar import solve_cvar, solve_scaled_cvar
 from cvarscale.sca import (
     SquareTangent,
@@ -81,6 +81,143 @@ def subproblem_line_oracle(instance, x_k, alpha_k, x_lo, x_hi, alpha_max=1e6):
     return float(instance.c[0] * x_hi)
 
 
+def loop_dc_subproblem(instance, x_k, alpha_k, relax_set, tol=None):
+    """Reference: the subproblem written one row and one cone at a time."""
+    tol = tol or Tolerances()
+    n, N = instance.n, instance.N
+    relax = np.zeros(N, dtype=bool)
+    members = sorted({int(i) for i in relax_set})
+    if members:
+        relax[np.asarray(members, dtype=int)] = True
+    relax_idx = np.flatnonzero(relax)
+    col_of = {int(i): n + 1 + N + k for k, i in enumerate(relax_idx)}
+    nv = n + 1 + N + relax_idx.size
+    tangent = SquareTangent.at(instance, x_k, alpha_k)
+
+    lin_rows, lin_rhs, cones = [], [], []
+    risk = np.zeros(nv)
+    risk[n] = instance.epsilon
+    risk[n + 1 : n + 1 + N] = instance.probs
+    lin_rows.append(risk)
+    lin_rhs.append(0.0)
+    for i, scen in enumerate(instance.scenarios):
+        if not relax[i]:
+            for j in range(scen.J):
+                row = np.zeros(nv)
+                row[:n] = scen.W[j]
+                row[n] = -1.0
+                row[n + 1 + i] = -1.0
+                lin_rows.append(row)
+                lin_rhs.append(-scen.d[j])
+            continue
+        ai_col = col_of[i]
+        for j in range(scen.J):
+            a = tangent.slope[i, j]
+            q_coef = np.zeros(nv)
+            q_coef[:n] = scen.W[j]
+            q_coef[ai_col] = 1.0
+            q_const = scen.d[j]
+            r_coef = np.zeros(nv)
+            r_coef[:n] = -2.0 * a * scen.W[j]
+            r_coef[n] = 4.0
+            r_coef[n + 1 + i] = 4.0
+            r_coef[ai_col] = 2.0 * a
+            r_const = (
+                a * a
+                - 2.0 * a * tangent.anchor_alpha[i]
+                + 2.0 * a * float(scen.W[j] @ tangent.anchor_x)
+            )
+            F = np.vstack([2.0 * q_coef, -r_coef])
+            f = np.array([2.0 * q_const, 1.0 - r_const])
+            cones.append(SocCone(F=F, f=f, g=r_coef, h=1.0 + r_const))
+    dom = instance.domain
+    if dom.P is not None:
+        for r in range(dom.P.shape[0]):
+            row = np.zeros(nv)
+            row[:n] = dom.P[r]
+            lin_rows.append(row)
+            lin_rhs.append(dom.q[r])
+    c = np.zeros(nv)
+    c[:n] = instance.c
+    lb = np.concatenate([dom.lb, [-np.inf], np.zeros(N), np.ones(relax_idx.size)])
+    ub = np.concatenate(
+        [dom.ub, [0.0], np.full(N, np.inf), np.full(relax_idx.size, tol.alpha_max)]
+    )
+    return SocpSpec(
+        c=c, A=np.vstack(lin_rows), b=np.array(lin_rhs), cones=tuple(cones), lb=lb, ub=ub
+    )
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and bytes, so signed zeros must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_spec(got, want):
+    for name in ("c", "A", "b", "lb", "ub"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert len(got.cones) == len(want.cones)
+    for k, (g, w) in enumerate(zip(got.cones, want.cones)):
+        for name in ("F", "f", "g", "h"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), (k, name)
+            assert same_bits(getattr(g, name), getattr(w, name)), (k, name)
+
+
+class TestSubproblemArrays:
+    """The array build of the subproblem against the row-by-row reference."""
+
+    def test_corpus_loop_subproblems(self, monkeypatch):
+        # every subproblem the plain and hybrid loops build on corpus
+        # instances with J = 1, 2 and 3
+        import cvarscale.sca as sca_mod
+        from tests.test_acceptance import RUN_TOL, _mixed_instance
+
+        built = []
+
+        def checked(instance, x_k, alpha_k, relax_set, tol=None):
+            spec = build_dc_subproblem(instance, x_k, alpha_k, relax_set, tol)
+            assert_same_spec(spec, loop_dc_subproblem(instance, x_k, alpha_k, relax_set, tol))
+            built.append(len(spec.cones))
+            return spec
+
+        monkeypatch.setattr(sca_mod, "build_dc_subproblem", checked)
+        shapes = set()
+        for seed in range(6):
+            inst = _mixed_instance(seed)
+            sol = solve_cvar(inst, RUN_TOL)
+            if not sol.optimal:
+                continue
+            shapes.add(inst.J)
+            sequential_convex(inst, sol.x, RUN_TOL)
+            hybrid_refine(inst, sol.x, RUN_TOL)
+        assert shapes == {1, 2, 3}
+        assert len(built) > 20
+
+    def test_corpus_anchors_and_relax_sets(self):
+        from tests.test_acceptance import _mixed_instance
+
+        rng = np.random.default_rng(11)
+        for seed in range(30):
+            inst = _mixed_instance(seed)
+            x_k = rng.uniform(-1.0, 2.0, size=inst.n)
+            N = inst.N
+            for alpha_k in (np.ones(N), rng.uniform(1.0, 10.0, size=N)):
+                subset = np.flatnonzero(rng.random(N) < 0.5)
+                for relax in ([], range(N), subset, list(subset[::-1]) * 2):
+                    want = loop_dc_subproblem(inst, x_k, alpha_k, relax)
+                    assert_same_spec(build_dc_subproblem(inst, x_k, alpha_k, relax), want)
+
+    def test_empty_and_full_relax_sets(self, two_scenario, three_scenario):
+        tol = Tolerances(alpha_max=50.0)
+        for inst in (two_scenario, three_scenario):
+            x_k, alpha_k = np.full(inst.n, 0.5), np.arange(1.0, inst.N + 1.0)
+            for relax in ([], range(inst.N)):
+                want = loop_dc_subproblem(inst, x_k, alpha_k, relax, tol)
+                assert_same_spec(build_dc_subproblem(inst, x_k, alpha_k, relax, tol), want)
+
+
 class TestSubproblem:
     def test_empty_relax_set_is_plain_lp(self, two_scenario):
         spec = build_dc_subproblem(two_scenario, [0.0, 4.0], [1.0, 1.0], [])
@@ -114,7 +251,7 @@ class TestSubproblem:
     def test_matches_grid_oracle(self, step_line):
         x_k, alpha_k = np.array([2.0]), np.array([1.0, 1.0])
         spec = build_dc_subproblem(step_line, x_k, alpha_k, [0, 1])
-        res = solve_socp(spec, Tolerances(opt_tol=1e-10))
+        res = solve_socp(spec, 1e-10)
         assert res.status == SolveStatus.OPTIMAL
         oracle = subproblem_line_oracle(step_line, x_k, alpha_k, x_lo=0.0, x_hi=2.0)
         assert res.objective == pytest.approx(oracle, abs=1e-5)
