@@ -63,14 +63,11 @@ class BisectionReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
-def lower_level(
-    instance: CcpInstance, t: float, tol: Tolerances | None = None
-) -> tuple[np.ndarray, float, float]:
+def lower_level(instance: CcpInstance, t: float) -> tuple[np.ndarray, float, float]:
     """Minimize the hinge loss under the budget row c.x <= t.
 
     Returns (x, beta, value).  Raises InfeasibleProblem when the budget row
-    cuts off the whole domain.  ``tol`` is accepted like the other methods'
-    but unused: the LP solve has no tolerance to set.
+    cuts off the whole domain.
     """
     sol = _solve_hinge(instance, np.ones(instance.N), budget=t)
     if sol.status == SolveStatus.INFEASIBLE:
@@ -116,14 +113,14 @@ def _bisect(
 
     # the initial upper bound comes from a feasible method; its lower-level
     # solution provides the starting incumbent
-    x0, _, v0 = lower_level(instance, t_upper, tol)
+    x0, _, v0 = lower_level(instance, t_upper)
     if chance_feasible(instance, x0, tol.feas_tol):
         report.x = x0
         report.objective = float(instance.c @ x0)
 
     while t_upper - t_lower > delta_A:
         t = (t_lower + t_upper) / 2.0
-        x, _, value = lower_level(instance, t, tol)
+        x, _, value = lower_level(instance, t)
         feasible = chance_feasible(instance, x, tol.feas_tol)
         rescued = False
         if not feasible and rescue is not None:

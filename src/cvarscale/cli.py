@@ -8,6 +8,7 @@ Subcommands: validate, solve, certify, sweep, generate, bench.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -67,7 +68,6 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feas-tol", type=float, default=d.feas_tol)
     p.add_argument("--delta1", type=float, default=d.delta1)
     p.add_argument("--delta2", type=float, default=d.delta2)
-    p.add_argument("--delta-bar", type=float, default=d.delta_bar)
     p.add_argument("--alpha-max", type=float, default=d.alpha_max)
     p.add_argument("--max-iter", type=int, default=d.max_iter)
     p.add_argument("--delta-a", type=float, default=d.delta_A)
@@ -78,7 +78,6 @@ def _tolerances(args) -> Tolerances:
         feas_tol=args.feas_tol,
         delta1=args.delta1,
         delta2=args.delta2,
-        delta_bar=args.delta_bar,
         alpha_max=args.alpha_max,
         max_iter=args.max_iter,
         delta_A=args.delta_a,
@@ -169,7 +168,7 @@ def cmd_solve(args) -> int:
         fixed_mask = None
         if args.prune_eta and args.method == "alg1":
             probe = scaling_heuristic(instance, x0, tol)
-            floors = scenario_cost_floors(instance, tol)
+            floors = scenario_cost_floors(instance)
             fixed_mask = pin_alpha_mask(floors, probe.incumbent.objective, tol.feas_tol)
         if args.method == "alg1":
             trace = scaling_heuristic(instance, x0, tol, fixed_mask=fixed_mask)
@@ -313,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="search for a strictly feasible point")
     p.add_argument("instance")
-    p.add_argument("--delta-bar", type=float, default=Tolerances().delta_bar)
+    p.add_argument("--delta-bar", type=float,
+                   default=inspect.signature(certificate_point).parameters["delta_bar"].default)
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_certify)
 

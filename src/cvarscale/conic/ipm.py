@@ -8,8 +8,10 @@ Standard conic form with a homogeneous self-dual embedding:
 where K is a product of a nonnegative orthant and second-order cones
 Q_d = {(u0, u1) : u0 >= ||u1||_2}.  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector; the embedding yields verified
-certificates for infeasible and unbounded problems.  Everything is dense and
-cone blocks of equal dimension are processed as batches, which keeps the
+certificates for infeasible and unbounded problems.  Everything is dense.
+The cone blocks are stored in ascending dimension, so the blocks of one
+dimension fill one slice of the stacked vector and every kernel processes
+them as a single batch through a reshape of that slice; this keeps the
 per-iteration cost dominated by one Cholesky factorization.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -81,63 +83,32 @@ def _add_at_layers(idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 class _ConeLayout:
     """Orthant block plus SOC blocks batched by equal dimension.
 
-    ``groups`` maps block dimension d to an integer index array of shape
-    (B, d): row b holds the stacked-vector positions of the b-th block.
+    The blocks are stored in ascending dimension after the orthant, so
+    ``groups`` maps block dimension d to the one slice of the stacked vector
+    that holds all dimension-d blocks back to back.
     """
 
     l: int
-    groups: dict[int, np.ndarray]
+    groups: dict[int, slice]
     m: int
     n_soc: int
-    # the slice a group's blocks occupy when they are contiguous, else None
-    spans: dict[int, slice | None] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.spans = {}
-        for d, idx in self.groups.items():
-            lo, hi = int(idx[0, 0]), int(idx[-1, -1]) + 1
-            self.spans[d] = slice(lo, hi) if hi - lo == idx.size else None
 
     @classmethod
     def build(cls, l: int, soc_dims: list[int]) -> "_ConeLayout":
-        groups: dict[int, list[np.ndarray]] = {}
+        """Layout of an orthant of size l and cones of the given dimensions,
+        stored in ascending dimension."""
+        groups = {}
         start = l
-        for d in soc_dims:
-            groups.setdefault(d, []).append(np.arange(start, start + d))
-            start += d
-        packed = {d: np.vstack(rows) for d, rows in groups.items()}
-        return cls(l=l, groups=packed, m=start, n_soc=len(soc_dims))
+        for d in sorted(set(soc_dims)):
+            stop = start + d * soc_dims.count(d)
+            groups[d] = slice(start, stop)
+            start = stop
+        return cls(l=l, groups=groups, m=start, n_soc=len(soc_dims))
 
     def view(self, u: np.ndarray, d: int) -> np.ndarray:
-        """Block matrix (B, d) or (B, d, k) for dimension-d cones; a view when
-        the blocks are contiguous in the stacked vector (the common case)."""
-        span = self.spans[d]
-        if span is not None:
-            return u[span].reshape((-1, d) + u.shape[1:])
-        return u[self.groups[d]]
-
-    def scatter(self, out: np.ndarray, d: int, vals: np.ndarray) -> None:
-        """Write per-block values (B, d, ...) back into the stacked array."""
-        idx = self.groups[d]
-        flat = vals.reshape((idx.size,) + vals.shape[2:])
-        span = self.spans[d]
-        if span is not None:
-            out[span] = flat
-        else:
-            out[idx.ravel()] = flat
-
-    def target(self, out: np.ndarray, d: int) -> np.ndarray:
-        """Writable (B, d, ...) block array for ``out``: a view of it when the
-        blocks are contiguous, else scratch space to hand to ``scatter``."""
-        span = self.spans[d]
-        if span is not None:
-            return self.view(out, d)
-        return np.empty((self.groups[d].shape[0], d) + out.shape[1:])
-
-    def commit(self, out: np.ndarray, d: int, vals: np.ndarray) -> None:
-        """Finish a ``target`` write (a no-op when it was a view)."""
-        if self.spans[d] is None:
-            self.scatter(out, d, vals)
+        """Block matrix (B, d) or (B, d, k) for dimension-d cones: a view of
+        the stacked array, so writing to it writes to ``u``."""
+        return u[self.groups[d]].reshape((-1, d) + u.shape[1:])
 
     @property
     def degree(self) -> int:
@@ -146,8 +117,8 @@ class _ConeLayout:
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
         e[: self.l] = 1.0
-        for idx in self.groups.values():
-            e[idx[:, 0]] = 1.0
+        for d in self.groups:
+            self.view(e, d)[:, 0] = 1.0
         return e
 
 
@@ -183,7 +154,7 @@ class _NTScaling:
         if np.any(s[:l] <= 0) or np.any(z[:l] <= 0):
             raise FloatingPointError("iterate left the orthant interior")
         self.w_lin = np.sqrt(s[:l] / z[:l]) if l else np.zeros(0)
-        # per group: (d, span, w0, w1, -w1, eta, 1/eta, 1 + w0), wbar = (w0, w1)
+        # per group: (d, w0, w1, -w1, eta, 1/eta, 1 + w0), wbar = (w0, w1)
         self.blocks: list[tuple] = []
         for d in lay.groups:
             sb, zb = lay.view(s, d), lay.view(z, d)
@@ -203,7 +174,7 @@ class _NTScaling:
             wb /= (2.0 * gamma)[:, None]
             eta = (rs / rz) ** 0.25
             w0, w1 = wb[:, 0], wb[:, 1:]
-            self.blocks.append((d, lay.spans[d], w0, w1, -w1, eta, 1.0 / eta, 1.0 + w0))
+            self.blocks.append((d, w0, w1, -w1, eta, 1.0 / eta, 1.0 + w0))
 
     def _apply(self, u: np.ndarray, inverse: bool) -> np.ndarray:
         """eta^{+-1} H(+-wbar) blockwise (the orthant part is diagonal)."""
@@ -214,22 +185,15 @@ class _NTScaling:
             np.divide(u[:l], self.w_lin, out=out[:l])
         else:
             np.multiply(u[:l], self.w_lin, out=out[:l])
-        for d, span, w0, w1p, w1n, eta, inv_eta, opw0 in self.blocks:
+        for d, w0, w1p, w1n, eta, inv_eta, opw0 in self.blocks:
             w1 = w1n if inverse else w1p
-            if span is not None:
-                U = u[span].reshape(-1, d)
-                res = out[span].reshape(-1, d)
-            else:
-                U = u[lay.groups[d]]
-                res = np.empty_like(U)
+            U, res = lay.view(u, d), lay.view(out, d)
             U0, U1 = U[:, 0], U[:, 1:]
             inner = np.einsum("bk,bk->b", w1, U1)
             np.multiply(w0, U0, out=res[:, 0])
             res[:, 0] += inner
             res[:, 1:] = U1 + (U0 + inner / opw0)[:, None] * w1
             res *= (inv_eta if inverse else eta)[:, None]
-            if span is None:
-                lay.scatter(out, d, res)
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -244,17 +208,16 @@ class _NTScaling:
         out = np.empty_like(G)
         l = lay.l
         np.divide(G[:l], self.w_lin[:, None], out=out[:l])
-        for d, _, w0, _, w1, eta, _, opw0 in self.blocks:
+        for d, w0, _, w1, eta, _, opw0 in self.blocks:
             blk = lay.view(G, d)  # (B, d, ncols)
             inner = np.einsum("bk,bkc->bc", w1, blk[:, 1:, :])
-            res = lay.target(out, d)
+            res = lay.view(out, d)
             np.multiply(w0[:, None], blk[:, 0, :], out=res[:, 0, :])
             res[:, 0, :] += inner
             res[:, 1:, :] = blk[:, 1:, :] + w1[:, :, None] * (
                 blk[:, 0, :] + inner / opw0[:, None]
             )[:, None, :]
             res /= eta[:, None, None]
-            lay.commit(out, d, res)
         return out
 
 
@@ -263,11 +226,9 @@ def _jordan_product(lay: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.ndarra
     l = lay.l
     np.multiply(u[:l], v[:l], out=out[:l])
     for d in lay.groups:
-        ub, vb = lay.view(u, d), lay.view(v, d)
-        res = lay.target(out, d)
+        ub, vb, res = lay.view(u, d), lay.view(v, d), lay.view(out, d)
         np.einsum("bk,bk->b", ub, vb, out=res[:, 0])
         res[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-        lay.commit(out, d, res)
     return out
 
 
@@ -277,14 +238,12 @@ def _jordan_solve(lay: _ConeLayout, lam: np.ndarray, d_vec: np.ndarray) -> np.nd
     l = lay.l
     np.divide(d_vec[:l], lam[:l], out=out[:l])
     for d in lay.groups:
-        lb, db = lay.view(lam, d), lay.view(d_vec, d)
+        lb, db, res = lay.view(lam, d), lay.view(d_vec, d), lay.view(out, d)
         l1 = lb[:, 1:]
         det = lb[:, 0] ** 2 - np.einsum("bk,bk->b", l1, l1)
         x0 = (lb[:, 0] * db[:, 0] - np.einsum("bk,bk->b", l1, db[:, 1:])) / det
-        res = lay.target(out, d)
         res[:, 0] = x0
         res[:, 1:] = (db[:, 1:] - x0[:, None] * l1) / lb[:, :1]
-        lay.commit(out, d, res)
     return out
 
 
@@ -348,7 +307,11 @@ class _StepLimit:
 
 
 def _assemble(spec: SocpSpec):
-    """Flatten linear rows, bounds, and cone blocks into (G, h, layout)."""
+    """Flatten linear rows, bounds, and cone blocks into (G, h, layout).
+
+    The cones are written in ascending dimension (a stable sort, so cones of
+    equal dimension keep their order), which makes each batch one slice.
+    """
     n = spec.n
     g_rows = [spec.A]
     h_parts = [spec.b]
@@ -366,7 +329,7 @@ def _assemble(spec: SocpSpec):
         h_parts.append(spec.ub[fin_ub])
     l = sum(r.shape[0] for r in g_rows)
     soc_dims = []
-    for cone in spec.cones:
+    for cone in sorted(spec.cones, key=lambda cone: cone.F.shape[0]):
         g_rows.append(-cone.g[None, :])
         h_parts.append(np.array([cone.h]))
         g_rows.append(-cone.F)
@@ -382,12 +345,11 @@ def _assemble(spec: SocpSpec):
     if lay.l:
         mx = np.max(np.abs(G[: lay.l]), axis=1, initial=0.0)
         d[: lay.l] = np.maximum(1.0, np.maximum(mx, np.abs(h[: lay.l])))
-    for idx in lay.groups.values():
+    for k in lay.groups:
         blk = np.maximum(
-            np.abs(G[idx]).max(axis=(1, 2)), np.abs(h[idx]).max(axis=1)
+            np.abs(lay.view(G, k)).max(axis=(1, 2)), np.abs(lay.view(h, k)).max(axis=1)
         )
-        scale = np.maximum(1.0, blk)
-        d[idx.ravel()] = np.repeat(scale, idx.shape[1])
+        lay.view(d, k)[:] = np.maximum(1.0, blk)[:, None]
     return G / d[:, None], h / d, lay
 
 
@@ -395,7 +357,7 @@ class _RowSplit:
     """Single-nonzero orthant rows (bounds) split from the dense rows.
 
     Bound rows only add diagonal terms to the Schur complement, which cuts
-    the dominant cost of forming it roughly in half on the target problems.
+    the dominant cost of forming it roughly in half on the SCA subproblems.
     """
 
     def __init__(self, G: np.ndarray, l: int):
@@ -441,6 +403,20 @@ class _RowSplit:
         return out
 
 
+def _schur_factor(rows: _RowSplit) -> np.ndarray:
+    """Cholesky factor of G'G, plus a small ridge, for the split rows of G.
+
+    Bound rows add only their squared coefficients to the diagonal.
+    """
+    dense, coef = rows.G_dense, rows.coef
+    M = dense.T @ dense
+    sq = coef * coef
+    for pos, cols in rows.layers:
+        M[cols, cols] += sq[pos]
+    M[rows.diag, rows.diag] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
+    return _cho_factor(M)
+
+
 class _KKT:
     """Factorized core system [[0, G'], [G, -W^2]] via the Schur complement.
 
@@ -449,41 +425,27 @@ class _KKT:
     vector products, so the dense work runs on the remaining rows alone.
     """
 
-    def __init__(self, G: np.ndarray, W: _NTScaling | None, split: _RowSplit):
+    def __init__(self, G: np.ndarray, W: _NTScaling, split: _RowSplit):
         self.W = W
         self.split = split
         # the rows of Gt = W^-1 G, split like G's
-        self.scaled = split.with_rows(W.scale_rows(G)) if W is not None else split
-        dense, coef = self.scaled.G_dense, self.scaled.coef
-        M = dense.T @ dense
-        sq = coef * coef
-        for pos, cols in split.layers:
-            M[cols, cols] += sq[pos]
-        M[split.diag, split.diag] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
-        self.chol = _cho_factor(M)
+        self.scaled = split.with_rows(W.scale_rows(G))
+        self.chol = _schur_factor(self.scaled)
 
     def _solve_raw(self, p: np.ndarray, q: np.ndarray):
-        Winv_q = self.W.apply_inv(q) if self.W is not None else q
-        rhs = p + self.scaled.rmatvec(Winv_q)
-        u = _cho_solve(self.chol, rhs)
-        t = self.scaled.matvec(u) - Winv_q
-        v = self.W.apply_inv(t) if self.W is not None else t
+        Winv_q = self.W.apply_inv(q)
+        u = _cho_solve(self.chol, p + self.scaled.rmatvec(Winv_q))
+        v = self.W.apply_inv(self.scaled.matvec(u) - Winv_q)
         return u, v
 
-    def solve(self, p: np.ndarray, q: np.ndarray, refine: bool = True):
+    def solve(self, p: np.ndarray, q: np.ndarray):
         """Return (u, v) with G'v = p and G u - W^2 v = q (iterative refinement)."""
         u, v = self._solve_raw(p, q)
-        if not refine:
-            return u, v
         scale = 1.0 + _norm(p) + _norm(q)
         prev = np.inf
         for _ in range(2):
-            if self.W is not None:
-                w2v = self.W.apply(self.W.apply(v))
-            else:
-                w2v = v
             rp = p - self.split.rmatvec(v)
-            rq = q - (self.split.matvec(u) - w2v)
+            rq = q - (self.split.matvec(u) - self.W.apply(self.W.apply(v)))
             err = max(_norm(rp), _norm(rq))
             if err <= 1e-13 * scale or err >= 0.5 * prev:
                 break
@@ -530,10 +492,10 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
 
     split = _RowSplit(G, lay.l)
     try:
-        kkt0 = _KKT(G, None, split)
-        x = _cho_solve(kkt0.chol, G.T @ h)
+        chol = _schur_factor(split)
+        x = _cho_solve(chol, G.T @ h)
         s = _shift_into_cone(lay, h - G @ x)
-        z = _shift_into_cone(lay, -G @ _cho_solve(kkt0.chol, c))
+        z = _shift_into_cone(lay, -G @ _cho_solve(chol, c))
     except np.linalg.LinAlgError:
         return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, 0)
     tau, kappa = 1.0, 1.0
@@ -604,17 +566,17 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         u1, v1 = kkt.solve(-c, h)
         denom = (c @ u1 + h @ v1) - kappa / tau
 
-        def direction(ds_target: np.ndarray, dkappa_target: float, fac: float):
-            ds_tilde = _jordan_solve(lay, lam, ds_target)
+        def direction(ds_rhs: np.ndarray, dkappa_rhs: float, fac: float):
+            ds_tilde = _jordan_solve(lay, lam, ds_rhs)
             p = -fac * r1
             q = -fac * r2 - W.apply(ds_tilde)
             u2, v2 = kkt.solve(p, q)
-            num = (-fac * r3 - dkappa_target / tau) - (c @ u2 + h @ v2)
+            num = (-fac * r3 - dkappa_rhs / tau) - (c @ u2 + h @ v2)
             dtau = num / denom
             dx = u2 + dtau * u1
             dz = v2 + dtau * v1
             ds = W.apply(ds_tilde - W.apply(dz))
-            dkappa = (dkappa_target - kappa * dtau) / tau
+            dkappa = (dkappa_rhs - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
 
         # predictor

@@ -212,7 +212,6 @@ class Tolerances:
     feas_tol    constraint satisfaction slack when counting violations
     delta1      stopping threshold on objective change between iterations
     delta2      strict-satisfaction threshold used to pick scaled scenarios
-    delta_bar   margin required of a strict-feasibility certificate point
     alpha_max   cap on any scaling factor
     max_iter    iteration cap for the iterative schemes
     delta_A     objective-budget bisection gap
@@ -221,7 +220,6 @@ class Tolerances:
     feas_tol: float = 1e-6
     delta1: float = 1e-4
     delta2: float = -0.005
-    delta_bar: float = -1e-5
     alpha_max: float = 1e6
     max_iter: int = 25
     delta_A: float = 0.05
@@ -229,8 +227,6 @@ class Tolerances:
     def __post_init__(self):
         if self.delta2 > 0:
             raise ToleranceError("delta2 must be <= 0")
-        if not self.delta_bar < 0:
-            raise ToleranceError("delta_bar must be < 0")
         for name in ("feas_tol", "delta1", "alpha_max", "delta_A"):
             if not getattr(self, name) > 0:
                 raise ToleranceError(f"{name} must be positive")

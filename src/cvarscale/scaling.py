@@ -120,6 +120,18 @@ class IterationTrace:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
+def _factor_rule(p: np.ndarray, worst: np.ndarray, strict: np.ndarray, tau: float,
+                 eps: float) -> tuple[float, np.ndarray]:
+    """The closed-form factors on the strict set, for tau < eps.
+
+    alpha_bar = max(p . worst / (eps - tau), 0) over the scenarios outside the
+    strict set (zero when there are none), and each strict scenario's factor
+    is max(-alpha_bar / worst_i, 1).  Returns (alpha_bar, strict factors).
+    """
+    alpha_bar = max(float(p[~strict] @ worst[~strict]) / (eps - tau), 0.0)
+    return alpha_bar, np.maximum(-alpha_bar / worst[strict], 1.0)
+
+
 def construct_scaling(
     instance: CcpInstance,
     x_star,
@@ -144,14 +156,9 @@ def construct_scaling(
     if not tau < eps:
         raise ConditionViolated(tau, eps)
 
-    if tau == 0.0:
-        alpha_bar = 0.0
-    else:
-        alpha_bar = float(p[~strict] @ worst[~strict]) / (eps - tau)
-    alpha_bar = max(alpha_bar, 0.0)
-
+    alpha_bar, factors = _factor_rule(p, worst, strict, tau, eps)
     alpha = np.ones(instance.N)
-    alpha[strict] = np.maximum(-alpha_bar / worst[strict], 1.0)
+    alpha[strict] = factors
     clipped = bool(np.any(alpha > tol.alpha_max))
     alpha = np.minimum(alpha, tol.alpha_max)
     beta = -alpha_bar
@@ -233,11 +240,9 @@ def scaling_heuristic(
         tau = float(p[~strict].sum())
         guard_tripped = eps - tau <= 1e-12
         if not guard_tripped:
-            alpha_bar = max(float(p[~strict] @ worst[~strict]) / (eps - tau), 0.0)
+            _, factors = _factor_rule(p, worst, strict, tau, eps)
             new_alpha = np.ones(instance.N)
-            new_alpha[strict] = np.maximum.reduce(
-                [-alpha_bar / worst[strict], np.ones(strict.sum()), alpha[strict]]
-            )
+            new_alpha[strict] = np.maximum(factors, alpha[strict])
             alpha = np.minimum(new_alpha, tol.alpha_max)
             if fixed_mask is not None:
                 alpha[fixed_mask] = 1.0
@@ -261,12 +266,11 @@ def scaling_heuristic(
     return trace
 
 
-def scenario_cost_floors(instance: CcpInstance, tol: Tolerances | None = None) -> np.ndarray:
+def scenario_cost_floors(instance: CcpInstance) -> np.ndarray:
     """Cheapest cost of satisfying each single scenario over the domain.
 
     Entry i is  min c.x  s.t.  x in domain and all rows of scenario i <= 0,
-    or +inf when that slice of the domain is empty.  ``tol`` is accepted like
-    the other methods' but unused: the LP solves have no tolerance to set.
+    or +inf when that slice of the domain is empty.
     """
     floors = np.empty(instance.N)
     for i, scen in enumerate(instance.scenarios):

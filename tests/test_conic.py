@@ -324,19 +324,49 @@ class TestInteriorPoint:
         assert r1.objective == r2.objective
         assert np.array_equal(r1.z, r2.z)
 
+    def test_cone_order_does_not_matter(self):
+        # cones of dimensions 3, 4, 3, 2, 4 given interleaved and pre-sorted
+        # by dimension: the solver stores both in the same order
+        rng = np.random.default_rng(5)
+        n = 6
+        x0 = rng.normal(size=n)
+        cones = []
+        for rows in (2, 3, 2, 1, 3):
+            F, f, g = rng.normal(size=(rows, n)), rng.normal(size=rows), rng.normal(size=n)
+            h = np.linalg.norm(F @ x0 + f) - g @ x0 + rng.uniform(0.5, 2.0)
+            cones.append(SocCone(F=F, f=f, g=g, h=h))
+        c = rng.normal(size=n)
+        by_dim = sorted(cones, key=lambda cone: cone.F.shape[0])
+        interleaved, ordered = (
+            solve_socp(SocpSpec(c=c, A=np.zeros((0, n)), b=[], cones=tuple(cs),
+                                lb=[-5.0] * n, ub=[5.0] * n))
+            for cs in (cones, by_dim)
+        )
+        assert ordered.status == SolveStatus.OPTIMAL
+        assert interleaved.status == ordered.status
+        assert np.array_equal(interleaved.z, ordered.z)
+        assert interleaved.objective == ordered.objective
+        assert interleaved.iterations == ordered.iterations
+
+
+def _cone_blocks(lay):
+    """The stacked-vector slice of every cone block, one block at a time."""
+    for d, group in lay.groups.items():
+        for start in range(group.start, group.stop, d):
+            yield slice(start, start + d)
+
 
 def _reference_scaling(lay, s, z):
     """Per-block NT scaling (wbar, eta), written out block by block."""
     blocks = []
-    for idx in lay.groups.values():
-        for rows in idx:
-            sb, zb = s[rows], z[rows]
-            rs = sb[0] ** 2 - sb[1:] @ sb[1:]
-            rz = zb[0] ** 2 - zb[1:] @ zb[1:]
-            sbar, zbar = sb / np.sqrt(rs), zb / np.sqrt(rz)
-            gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-            wb = np.concatenate([[sbar[0] + zbar[0]], sbar[1:] - zbar[1:]]) / (2.0 * gamma)
-            blocks.append((rows, wb, (rs / rz) ** 0.25))
+    for rows in _cone_blocks(lay):
+        sb, zb = s[rows], z[rows]
+        rs = sb[0] ** 2 - sb[1:] @ sb[1:]
+        rz = zb[0] ** 2 - zb[1:] @ zb[1:]
+        sbar, zbar = sb / np.sqrt(rs), zb / np.sqrt(rz)
+        gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
+        wb = np.concatenate([[sbar[0] + zbar[0]], sbar[1:] - zbar[1:]]) / (2.0 * gamma)
+        blocks.append((rows, wb, (rs / rz) ** 0.25))
     return np.sqrt(s[: lay.l] / z[: lay.l]), blocks
 
 
@@ -360,23 +390,22 @@ def _reference_max_step(lay, u, du):
     neg = du[: lay.l] < 0
     if neg.any():
         t = np.min(-u[: lay.l][neg] / du[: lay.l][neg])
-    for idx in lay.groups.values():
-        for rows in idx:
-            ub, db = u[rows], du[rows]
-            a = db[0] ** 2 - db[1:] @ db[1:]
-            b = 2.0 * (ub[0] * db[0] - ub[1:] @ db[1:])
-            c = max(ub[0] ** 2 - ub[1:] @ ub[1:], 0.0)
-            if abs(a) > 1e-14:
-                disc = b * b - 4.0 * a * c
-                if disc >= 0.0:
-                    q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
-                    for r in (q / a, c / q if abs(q) > 1e-300 else np.inf):
-                        if r > 1e-14:
-                            t = min(t, r)
-            elif b < -1e-14 and -c / b > 1e-14:
-                t = min(t, -c / b)
-            if db[0] < -1e-14:
-                t = min(t, -ub[0] / db[0])
+    for rows in _cone_blocks(lay):
+        ub, db = u[rows], du[rows]
+        a = db[0] ** 2 - db[1:] @ db[1:]
+        b = 2.0 * (ub[0] * db[0] - ub[1:] @ db[1:])
+        c = max(ub[0] ** 2 - ub[1:] @ ub[1:], 0.0)
+        if abs(a) > 1e-14:
+            disc = b * b - 4.0 * a * c
+            if disc >= 0.0:
+                q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
+                for r in (q / a, c / q if abs(q) > 1e-300 else np.inf):
+                    if r > 1e-14:
+                        t = min(t, r)
+        elif b < -1e-14 and -c / b > 1e-14:
+            t = min(t, -c / b)
+        if db[0] < -1e-14:
+            t = min(t, -ub[0] / db[0])
     return t
 
 
@@ -391,11 +420,20 @@ class TestInteriorPointKernels:
 
         def interior():
             u = rng.uniform(0.5, 2.0, size=lay.m)
-            for idx in lay.groups.values():
-                u[idx[:, 0]] = 1.0 + np.linalg.norm(u[idx[:, 1:]], axis=1)
+            for rows in _cone_blocks(lay):
+                u[rows.start] = 1.0 + np.linalg.norm(u[rows][1:])
             return u
 
         return lay, interior
+
+    def test_layout_groups_are_slices(self):
+        from cvarscale.conic.ipm import _ConeLayout
+
+        lay = _ConeLayout.build(4, [2, 3, 3, 4, 4])
+        assert lay.groups == {2: slice(4, 6), 3: slice(6, 12), 4: slice(12, 20)}
+        assert lay.m == 20 and lay.degree == 9
+        assert np.array_equal(np.flatnonzero(lay.identity()),
+                              [0, 1, 2, 3, 4, 6, 9, 12, 16])
 
     def test_row_split_products_match_dense(self):
         from cvarscale.conic.ipm import _RowSplit
@@ -414,7 +452,7 @@ class TestInteriorPointKernels:
         np.add.at(want, split.cols, split.coef * w[split.simple])
         assert np.array_equal(split.rmatvec(w), want)
 
-    @pytest.mark.parametrize("dims", [[3] * 6, [3, 4, 3, 2, 4]])
+    @pytest.mark.parametrize("dims", [[3] * 6, [2, 3, 3, 4, 4]])
     def test_scaling_matches_reference(self, dims):
         from cvarscale.conic.ipm import _NTScaling
 
@@ -431,7 +469,7 @@ class TestInteriorPointKernels:
         cols = np.column_stack([W.apply_inv(G[:, k]) for k in range(3)])
         assert np.allclose(W.scale_rows(G), cols, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("dims", [[3] * 6, [3, 4, 3, 2, 4]])
+    @pytest.mark.parametrize("dims", [[3] * 6, [2, 3, 3, 4, 4]])
     def test_step_limit_matches_reference(self, dims):
         from cvarscale.conic.ipm import _min_cone_margin, _StepLimit
 

@@ -97,8 +97,6 @@ class TestValidate:
         with pytest.raises(ToleranceError):
             Tolerances(delta2=0.1)
         with pytest.raises(ToleranceError):
-            Tolerances(delta_bar=0.0)
-        with pytest.raises(ToleranceError):
             Tolerances(feas_tol=-1.0)
 
 
