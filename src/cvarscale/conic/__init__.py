@@ -4,9 +4,10 @@ second-order-cone programs."""
 
 from .ipm import solve_socp
 from .simplex import solve_lp
-from .types import LinearProgramSpec, SocCone, SocpSpec, SolveResult, SolveStatus
+from .types import ConeStack, LinearProgramSpec, SocCone, SocpSpec, SolveResult, SolveStatus
 
 __all__ = [
+    "ConeStack",
     "LinearProgramSpec",
     "SocCone",
     "SocpSpec",

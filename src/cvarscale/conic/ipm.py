@@ -1,4 +1,4 @@
-"""Primal-dual interior point solver for dense second-order-cone programs.
+"""Primal-dual interior point solver for second-order-cone programs.
 
 Standard conic form with a homogeneous self-dual embedding:
 
@@ -8,11 +8,29 @@ Standard conic form with a homogeneous self-dual embedding:
 where K is a product of a nonnegative orthant and second-order cones
 Q_d = {(u0, u1) : u0 >= ||u1||_2}.  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector; the embedding yields verified
-certificates for infeasible and unbounded problems.  Everything is dense.
-The cone blocks are stored in ascending dimension, so the blocks of one
-dimension fill one slice of the stacked vector and every kernel processes
-them as a single batch through a reshape of that slice; this keeps the
-per-iteration cost dominated by one Cholesky factorization.
+certificates for infeasible and unbounded problems.  The cone blocks are
+stored in ascending dimension, so the blocks of one dimension fill one slice
+of the stacked vector and every kernel processes them as a single batch
+through a reshape of that slice.
+
+Each iteration solves the KKT system through the normal equations
+G'W^-2 G, on one of two paths:
+
+* dense: G is a dense matrix and G'W^-2 G is formed and Cholesky-factored
+  whole, at O(m n^2) per iteration.  Specs without a column partition, and
+  partitioned ones with fewer than ``_MIN_BLOCKS`` blocks, take it.
+* block: a spec's ``partition`` splits the columns into global ones and
+  small local blocks that each cone touches at most one of (the SCA
+  subproblems: (x, beta) global, (s_i, alpha_i) per scenario).  Every row
+  keeps only its global and own-block coefficients; the 1x1/2x2 local
+  blocks are inverted in closed form, the few rows that couple blocks (the
+  risk row) add one rank-one term each, and only the global columns'
+  reduced system is Cholesky-factored, at O(N n^2) per iteration for N
+  blocks.
+
+Both paths refine every KKT solve against the residual of the unscaled
+system, and the u-solve for (-c, h) shares each operation with the
+predictor's solve.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .types import SocpSpec, SolveResult, SolveStatus
+from .types import ConeStack, SocpSpec, SolveResult, SolveStatus
 
 __all__ = ["solve_socp"]
 
@@ -32,6 +50,12 @@ _MAX_ITER = 200
 _FEAS_TOL = 1e-8
 _STEP_DAMP = 0.99
 _REG = 1e-12
+# Fewest local blocks for which the block-eliminated KKT solve is used.  On
+# SCA subproblems of portfolio instances (n = 5 and 20, one BLAS thread) its
+# time per iteration over the dense path's was 1.3-1.6 at N = 12, 1.0-1.25 at
+# N = 40, 0.94-1.03 at N = 50 and 0.75 at N = 70; below that, numpy's
+# per-call cost outweighs the smaller factorization.
+_MIN_BLOCKS = 50
 
 # LAPACK Cholesky factor/solve, called directly: the problems are small, so
 # the per-call checks of scipy's cho_factor/cho_solve wrappers cost more than
@@ -44,6 +68,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of a stack."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
 def _cho_factor(M: np.ndarray) -> np.ndarray:
     c, info = _POTRF(M, lower=0, overwrite_a=0, clean=0)
     if info != 0:
@@ -52,31 +81,13 @@ def _cho_factor(M: np.ndarray) -> np.ndarray:
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with the factor ``c`` for b, or for each row of a 2-D b."""
     if b.size == 0:
         return np.empty_like(b)
-    x, info = _POTRS(c, b, lower=0, overwrite_b=0)
+    x, info = _POTRS(c, b.T, lower=0, overwrite_b=0)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
-def _add_at_layers(idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split ``idx`` into (positions, indices) layers without repeated indices.
-
-    Applying ``out[indices] += vals[positions]`` layer by layer adds every
-    value in the same order as ``np.add.at(out, idx, vals)``, at the cost of
-    one fancy-indexed update per layer instead of the unbuffered ufunc loop.
-    """
-    seen: dict[int, int] = {}
-    depth = np.empty(idx.size, dtype=int)
-    for k, i in enumerate(idx.tolist()):
-        depth[k] = seen.get(i, 0)
-        seen[i] = depth[k] + 1
-    layers = []
-    for level in range(int(depth.max(initial=-1)) + 1):
-        pos = np.flatnonzero(depth == level)
-        layers.append((pos, idx[pos]))
-    return layers
+    return x.T
 
 
 @dataclass
@@ -106,9 +117,10 @@ class _ConeLayout:
         return cls(l=l, groups=groups, m=start, n_soc=len(soc_dims))
 
     def view(self, u: np.ndarray, d: int) -> np.ndarray:
-        """Block matrix (B, d) or (B, d, k) for dimension-d cones: a view of
-        the stacked array, so writing to it writes to ``u``."""
-        return u[self.groups[d]].reshape((-1, d) + u.shape[1:])
+        """Block matrix (B, d) for dimension-d cones, or (k, B, d) for a
+        stack u of k vectors: a view of the stacked array, so writing to it
+        writes to ``u``."""
+        return u[..., self.groups[d]].reshape(u.shape[:-1] + (-1, d))
 
     @property
     def degree(self) -> int:
@@ -154,7 +166,8 @@ class _NTScaling:
         if np.any(s[:l] <= 0) or np.any(z[:l] <= 0):
             raise FloatingPointError("iterate left the orthant interior")
         self.w_lin = np.sqrt(s[:l] / z[:l]) if l else np.zeros(0)
-        # per group: (d, w0, w1, -w1, eta, 1/eta, 1 + w0), wbar = (w0, w1)
+        # per group: (d, w0, w1, -w1, eta, 1/eta, 1/(1 + w0)), wbar = (w0, w1),
+        # eta and 1/eta as (B, 1) columns
         self.blocks: list[tuple] = []
         for d in lay.groups:
             sb, zb = lay.view(s, d), lay.view(z, d)
@@ -172,28 +185,29 @@ class _NTScaling:
             wb[:, 0] += zbar[:, 0]
             wb[:, 1:] -= zbar[:, 1:]
             wb /= (2.0 * gamma)[:, None]
-            eta = (rs / rz) ** 0.25
+            eta = ((rs / rz) ** 0.25)[:, None]
             w0, w1 = wb[:, 0], wb[:, 1:]
-            self.blocks.append((d, w0, w1, -w1, eta, 1.0 / eta, 1.0 + w0))
+            self.blocks.append((d, w0, w1, -w1, eta, 1.0 / eta, 1.0 / (1.0 + w0)))
 
     def _apply(self, u: np.ndarray, inverse: bool) -> np.ndarray:
-        """eta^{+-1} H(+-wbar) blockwise (the orthant part is diagonal)."""
+        """eta^{+-1} H(+-wbar) blockwise (the orthant part is diagonal), to a
+        vector or to each row of a stack of vectors."""
         lay = self.lay
         out = np.empty_like(u)
         l = lay.l
         if inverse:
-            np.divide(u[:l], self.w_lin, out=out[:l])
+            np.divide(u[..., :l], self.w_lin, out=out[..., :l])
         else:
-            np.multiply(u[:l], self.w_lin, out=out[:l])
-        for d, w0, w1p, w1n, eta, inv_eta, opw0 in self.blocks:
+            np.multiply(u[..., :l], self.w_lin, out=out[..., :l])
+        for d, w0, w1p, w1n, eta, inv_eta, inv_opw0 in self.blocks:
             w1 = w1n if inverse else w1p
             U, res = lay.view(u, d), lay.view(out, d)
-            U0, U1 = U[:, 0], U[:, 1:]
-            inner = np.einsum("bk,bk->b", w1, U1)
-            np.multiply(w0, U0, out=res[:, 0])
-            res[:, 0] += inner
-            res[:, 1:] = U1 + (U0 + inner / opw0)[:, None] * w1
-            res *= (inv_eta if inverse else eta)[:, None]
+            U0, U1 = U[..., 0], U[..., 1:]
+            inner = np.einsum("bk,...bk->...b", w1, U1)
+            np.multiply(w0, U0, out=res[..., 0])
+            res[..., 0] += inner
+            res[..., 1:] = U1 + (U0 + inner * inv_opw0)[..., None] * w1
+            res *= inv_eta if inverse else eta
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -202,23 +216,25 @@ class _NTScaling:
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
         return self._apply(u, inverse=True)
 
+    def apply_sq(self, u: np.ndarray) -> np.ndarray:
+        """W^2 u in one pass: eta^2 (2 wbar wbar' - J) u per block, with
+        J = diag(1, -1, ..., -1) (the quadratic representation of wbar)."""
+        lay = self.lay
+        out = np.empty_like(u)
+        l = lay.l
+        np.multiply(u[..., :l], self.w_lin * self.w_lin, out=out[..., :l])
+        for d, w0, w1, _, eta, _, _ in self.blocks:
+            U, res = lay.view(u, d), lay.view(out, d)
+            t = 2.0 * (w0 * U[..., 0] + np.einsum("bk,...bk->...b", w1, U[..., 1:]))
+            np.multiply(t, w0, out=res[..., 0])
+            res[..., 0] -= U[..., 0]
+            res[..., 1:] = t[..., None] * w1 + U[..., 1:]
+            res *= eta * eta
+        return out
+
     def scale_rows(self, G: np.ndarray) -> np.ndarray:
         """W^-1 G (apply W^-1 to every column at once)."""
-        lay = self.lay
-        out = np.empty_like(G)
-        l = lay.l
-        np.divide(G[:l], self.w_lin[:, None], out=out[:l])
-        for d, w0, _, w1, eta, _, opw0 in self.blocks:
-            blk = lay.view(G, d)  # (B, d, ncols)
-            inner = np.einsum("bk,bkc->bc", w1, blk[:, 1:, :])
-            res = lay.view(out, d)
-            np.multiply(w0[:, None], blk[:, 0, :], out=res[:, 0, :])
-            res[:, 0, :] += inner
-            res[:, 1:, :] = blk[:, 1:, :] + w1[:, :, None] * (
-                blk[:, 0, :] + inner / opw0[:, None]
-            )[:, None, :]
-            res /= eta[:, None, None]
-        return out
+        return self.apply_inv(G.T).T
 
 
 def _jordan_product(lay: _ConeLayout, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -306,151 +322,345 @@ class _StepLimit:
         return steps[0], steps[1]
 
 
-def _assemble(spec: SocpSpec):
-    """Flatten linear rows, bounds, and cone blocks into (G, h, layout).
+def _cone_groups(cones) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The cone blocks as stacked (F, f, g, h), one group per row count in
+    ascending order; blocks of equal dimension keep their order."""
+    if isinstance(cones, ConeStack):
+        return [(cones.F, cones.f, cones.g, cones.h)] if len(cones) else []
+    groups = []
+    for r in sorted({cone.F.shape[0] for cone in cones}):
+        blk = [cone for cone in cones if cone.F.shape[0] == r]
+        groups.append((np.stack([cone.F for cone in blk]), np.stack([cone.f for cone in blk]),
+                       np.stack([cone.g for cone in blk]), np.array([cone.h for cone in blk])))
+    return groups
 
-    The cones are written in ascending dimension (a stable sort, so cones of
-    equal dimension keep their order), which makes each batch one slice.
+
+def _assemble(spec: SocpSpec):
+    """Flatten linear rows, bounds, and cone blocks into (c, rows, h, layout).
+
+    The cones are written in ascending dimension, which makes each batch one
+    slice.  The rows are split by ``spec.partition`` when it has at least
+    ``_MIN_BLOCKS`` local blocks, and kept dense otherwise; each row is
+    written straight into its split form, so a partitioned spec never
+    becomes one dense matrix.
     """
     n = spec.n
-    g_rows = [spec.A]
+    part = spec.partition
+    if part is None or part.max(initial=-1) + 1 < _MIN_BLOCKS:
+        part = np.full(n, -1)
+    cols = _Columns(part)
+    own = cols.owners(spec.A != 0)
+    rows = [(cols.gather(spec.A, own), own)]
     h_parts = [spec.b]
-    fin_lb = np.isfinite(spec.lb)
-    fin_ub = np.isfinite(spec.ub)
-    if fin_lb.any():
-        B = np.zeros((int(fin_lb.sum()), n))
-        B[np.arange(B.shape[0]), np.flatnonzero(fin_lb)] = -1.0
-        g_rows.append(B)
-        h_parts.append(-spec.lb[fin_lb])
-    if fin_ub.any():
-        B = np.zeros((int(fin_ub.sum()), n))
-        B[np.arange(B.shape[0]), np.flatnonzero(fin_ub)] = 1.0
-        g_rows.append(B)
-        h_parts.append(spec.ub[fin_ub])
-    l = sum(r.shape[0] for r in g_rows)
+    for sign, bound in ((-1.0, spec.lb), (1.0, spec.ub)):
+        j = np.flatnonzero(np.isfinite(bound))
+        if j.size:
+            Gc = np.zeros((j.size, cols.width))
+            Gc[np.arange(j.size), cols.pos[j]] = sign
+            rows.append((Gc, part[j]))
+            h_parts.append(sign * bound[j])
+    l = sum(Gc.shape[0] for Gc, _ in rows)
     soc_dims = []
-    for cone in sorted(spec.cones, key=lambda cone: cone.F.shape[0]):
-        g_rows.append(-cone.g[None, :])
-        h_parts.append(np.array([cone.h]))
-        g_rows.append(-cone.F)
-        h_parts.append(cone.f)
-        soc_dims.append(1 + cone.F.shape[0])
-    G = np.vstack(g_rows)
+    for F, f, g, h in _cone_groups(spec.cones):
+        B, r = f.shape
+        own = cols.owners(np.concatenate((g[:, None, :], F), axis=1) != 0)
+        if np.any(own == -2):
+            raise ValueError("a cone block touches more than one local column block")
+        Gc = cols.gather(np.concatenate((-g[:, None, :], -F), axis=1), own)
+        rows.append((Gc.reshape(B * (r + 1), -1), np.repeat(own, r + 1)))
+        h_parts.append(np.concatenate((h[:, None], f), axis=1).ravel())
+        soc_dims += [r + 1] * B
+    Gc = np.vstack([Gc for Gc, _ in rows])
+    own = np.concatenate([own for _, own in rows])
     h = np.concatenate(h_parts)
     lay = _ConeLayout.build(l, soc_dims)
+    # the coupling rows (all from A) keep their local coefficients densely
+    cpl = np.flatnonzero(own == -2)
+    Rl = cols.local(spec.A[cpl])
 
     # block-aware equilibration: one positive factor per orthant row and per
     # cone block (uniform within a block, so membership in K is unchanged)
     d = np.ones(lay.m)
     if lay.l:
-        mx = np.max(np.abs(G[: lay.l]), axis=1, initial=0.0)
+        mx = np.max(np.abs(Gc[: lay.l]), axis=1, initial=0.0)
+        mx[cpl] = np.maximum(mx[cpl], np.max(np.abs(Rl), axis=1, initial=0.0))
         d[: lay.l] = np.maximum(1.0, np.maximum(mx, np.abs(h[: lay.l])))
     for k in lay.groups:
         blk = np.maximum(
-            np.abs(lay.view(G, k)).max(axis=(1, 2)), np.abs(lay.view(h, k)).max(axis=1)
+            np.abs(lay.view(Gc.T, k)).max(axis=(0, 2)), np.abs(lay.view(h, k)).max(axis=1)
         )
         lay.view(d, k)[:] = np.maximum(1.0, blk)[:, None]
-    return G / d[:, None], h / d, lay
+    Gc /= d[:, None]
+    Rl /= d[cpl, None]
+    block_rows = _BlockRows.build(Gc, Rl, own, cols, lay)
+    return block_rows.to_internal(spec.c), block_rows, h / d, lay
 
 
-class _RowSplit:
-    """Single-nonzero orthant rows (bounds) split from the dense rows.
+class _Columns:
+    """The split of the columns by a partition: the ng global columns, then
+    the local blocks, each padded to the largest block's size L.
 
-    Bound rows only add diagonal terms to the Schur complement, which cuts
-    the dominant cost of forming it roughly in half on the SCA subproblems.
+    ``lcols`` holds each block's columns in ascending order (-1 pads) and
+    ``pos`` each column's place in a split row [global | own block].
     """
 
-    def __init__(self, G: np.ndarray, l: int):
-        nnz = np.count_nonzero(G, axis=1)
-        mask = np.zeros(G.shape[0], dtype=bool)
-        mask[:l] = nnz[:l] == 1
-        self.simple = np.flatnonzero(mask)
-        self.dense = np.flatnonzero(~mask)
-        self.cols = np.argmax(G[self.simple] != 0, axis=1)
-        self.layers = _add_at_layers(self.cols)
-        self.diag = np.arange(G.shape[1])
-        self.m = G.shape[0]
-        self._take(G)
+    def __init__(self, part: np.ndarray):
+        self.part = part
+        self.gcols = np.flatnonzero(part < 0)
+        self.loc = np.flatnonzero(part >= 0)
+        nb = int(part.max(initial=-1)) + 1
+        counts = np.bincount(part[self.loc], minlength=nb)
+        order = self.loc[np.argsort(part[self.loc], kind="stable")]
+        slot = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.lcols = np.full((nb, int(counts.max(initial=0))), -1)
+        self.lcols[part[order], slot] = order
+        self.pos = np.empty(part.size, dtype=int)
+        self.pos[self.gcols] = np.arange(self.gcols.size)
+        self.pos[order] = self.gcols.size + slot
+        self.width = self.gcols.size + self.lcols.shape[1]
 
-    def _take(self, G: np.ndarray) -> None:
-        self.G_dense = np.ascontiguousarray(G[self.dense])
-        self.coef = G[self.simple, self.cols]
+    def owners(self, touch: np.ndarray) -> np.ndarray:
+        """The local block each row (or each stack of rows, the last axis
+        but one) of a nonzero pattern touches: -1 for none, -2 for several."""
+        if touch.ndim == 3:
+            touch = touch.any(axis=1)
+        nb = self.lcols.shape[0]
+        blocks = np.where(touch[:, self.loc], self.part[self.loc], -1)
+        hi = blocks.max(axis=1, initial=-1)
+        lo = np.where(blocks < 0, nb, blocks).min(axis=1, initial=nb)
+        return np.where(lo < hi, -2, hi)
 
-    def with_rows(self, G: np.ndarray) -> "_RowSplit":
-        """The same split over the NT-scaled rows of G.  The scaling is
-        diagonal on the orthant, so each bound row keeps its one column."""
+    def gather(self, R: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """The split rows of R (r x n, or stacks B x d x n) whose owners are
+        ``own``: each keeps the local coefficients of its own block, and a
+        row of several blocks only its global ones."""
+        if self.lcols.size:
+            lc = self.lcols[np.maximum(own, 0)]
+        else:
+            lc = np.zeros(own.shape + (0,), dtype=int)
+        keep = (lc >= 0) & (own >= 0)[:, None]
+        if R.ndim == 3:
+            lc, keep = lc[:, None, :], keep[:, None, :]
+        lc = np.broadcast_to(np.maximum(lc, 0), R.shape[:-1] + lc.shape[-1:])
+        Gl = np.take_along_axis(R, lc, axis=-1) * keep
+        return np.concatenate((R[..., self.gcols], Gl), axis=-1)
+
+    def local(self, R: np.ndarray) -> np.ndarray:
+        """The local coefficients of rows R over all blocks, padding 0."""
+        flat = self.lcols.ravel()
+        return R[:, np.maximum(flat, 0)] * (flat >= 0)
+
+
+class _BlockRows:
+    """The rows of G with the columns split into global ones and local blocks.
+
+    Internal vectors over the columns are ordered [global | block 0 | block
+    1 | ...], each local block padded with zeros to L entries.  Row r keeps
+    its coefficients on the ng global columns and on the L columns of its own
+    block ``blk[r]`` in ``Gc = [Gg | Gl]`` (Gl is zero for rows without a
+    block).  The orthant rows that touch several blocks (``cpl``) keep their
+    local coefficients densely in ``Rl``.  With no blocks, Gc is G itself.
+    """
+
+    def __init__(self, Gc, Rl, ng, nb, L, blk, cpl, cols, grows, groups):
+        self.ng, self.nb, self.L, self.blk = ng, nb, L, blk
+        self.cpl, self.cols, self.grows = cpl, cols, grows
+        self.groups = groups  # (nb, R) rows of each block, and their 0/1 mask
+        # internal index of the local entries each row reads
+        self.lflat = ng + blk[:, None] * L + np.arange(L)
+        self.n = cols.size - np.count_nonzero(cols == -1)
+        # (block, slot) of every padding entry
+        self.pads = np.nonzero(cols[ng:].reshape(nb, L) < 0)
+        self._set(Gc, Rl)
+
+    def _set(self, Gc: np.ndarray, Rl: np.ndarray) -> None:
+        idx, mask = self.groups
+        self.Gc, self.Rl = Gc, Rl
+        self.H = Gc[idx] * mask[:, :, None]  # (nb, R, ng + L): each block's rows
+        self.Hl = np.ascontiguousarray(self.H[:, :, self.ng:])
+
+    @classmethod
+    def build(cls, Gc, Rl, own, cols: _Columns, lay: _ConeLayout) -> "_BlockRows":
+        """Split rows Gc with owners ``own`` (-2 for the coupling rows,
+        whose local coefficients are Rl)."""
+        m = Gc.shape[0]
+        ng, (nb, L) = cols.gcols.size, cols.lcols.shape
+        coupled = own == -2
+        hi = np.where(coupled, -1, own)
+        # rows in the Gram of the global columns: all but the coupling rows
+        # and the orthant rows without a global coefficient
+        grows = np.flatnonzero(~coupled & ((np.arange(m) >= lay.l)
+                                          | np.any(Gc[:, :ng] != 0, axis=1)))
+        if grows.size == m:
+            grows = slice(None)
+        # the rows of each block, padded to a common count R
+        members = np.flatnonzero(hi >= 0)
+        by_block = members[np.argsort(hi[members], kind="stable")]
+        per = np.bincount(hi[members], minlength=nb)
+        R = int(per.max(initial=0))
+        where = (hi[by_block], np.arange(by_block.size) - np.repeat(np.cumsum(per) - per, per))
+        idx = np.zeros((nb, R), dtype=int)
+        mask = np.zeros((nb, R))
+        idx[where] = by_block
+        mask[where] = 1.0
+        return cls(Gc, Rl, ng, nb, L, np.maximum(hi, 0), np.flatnonzero(coupled),
+                   np.concatenate((cols.gcols, cols.lcols.ravel())), grows, (idx, mask))
+
+    def to_internal(self, v: np.ndarray) -> np.ndarray:
+        """A vector over the spec's columns in the internal order (padding 0)."""
+        return np.where(self.cols >= 0, v[np.maximum(self.cols, 0)], 0.0)
+
+    def to_spec(self, u: np.ndarray) -> np.ndarray:
+        """An internal vector over the spec's columns."""
+        out = np.empty(self.n)
+        real = self.cols >= 0
+        out[self.cols[real]] = u[real]
+        return out
+
+    def scaled(self, W: "_NTScaling") -> "_BlockRows":
+        """The same split over the NT-scaled rows W^-1 G; every row keeps its
+        block, because W^-1 mixes only the rows of one cone."""
         other = copy.copy(self)
-        other._take(G)
+        other._set(W.scale_rows(self.Gc), self.Rl / W.w_lin[self.cpl, None])
         return other
 
-    def add_simple(self, out: np.ndarray, vals: np.ndarray) -> None:
-        """``np.add.at(out, self.cols, vals)``: bound-row terms into a column
-        vector."""
-        for pos, cols in self.layers:
-            out[cols] += vals[pos]
-
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """G @ u."""
-        out = np.empty(self.m)
-        out[self.dense] = self.G_dense @ u
-        out[self.simple] = self.coef * u[self.cols]
+        """G @ u, or G @ u[k] for each row of a stack u."""
+        ng = self.ng
+        out = u[..., :ng] @ self.Gc[:, :ng].T
+        if self.nb:
+            out += np.einsum("...rl,rl->...r", u[..., self.lflat], self.Gc[:, ng:])
+            out[..., self.cpl] += u[..., ng:] @ self.Rl.T
         return out
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """G.T @ w."""
-        out = self.G_dense.T @ w[self.dense]
-        self.add_simple(out, self.coef * w[self.simple])
+        """G.T @ w, or G.T @ w[k] for each row of a stack w."""
+        ng = self.ng
+        if not self.nb:
+            return w @ self.Gc
+        out = np.empty(w.shape[:-1] + (ng + self.Rl.shape[1],))
+        out[..., :ng] = w @ self.Gc[:, :ng]
+        loc = np.matmul(w[..., self.groups[0]][..., None, :], self.Hl)  # (..., nb, 1, L)
+        out[..., ng:] = loc.reshape(out[..., ng:].shape) + w[..., self.cpl] @ self.Rl
         return out
 
 
-def _schur_factor(rows: _RowSplit) -> np.ndarray:
-    """Cholesky factor of G'G, plus a small ridge, for the split rows of G.
+class _BlockFactor:
+    """Solver for the normal equations (G'G + ridge) u = b of split rows.
 
-    Bound rows add only their squared coefficients to the diagonal.
+    The local blocks are eliminated in closed form, leaving the ng x ng
+    reduced system S of the global columns for Cholesky.  A coupling row r
+    enters as an extra unknown w = r.u, eliminated after the local blocks
+    with the pivot 1 + r_l' D^-1 r_l >= 1, which adds a rank-one term to S;
+    inverting the uncoupled matrix instead (Sherman-Morrison) would lose the
+    directions that only an active coupling row pins down.  The ridge adds
+    _REG * (1 + M_jj) to each diagonal entry of M = G'G, so it stays small
+    beside the small entries of M (a ridge scaled by the mean diagonal
+    swamps them once the diagonal spans many orders of magnitude).
     """
-    dense, coef = rows.G_dense, rows.coef
-    M = dense.T @ dense
-    sq = coef * coef
-    for pos, cols in rows.layers:
-        M[cols, cols] += sq[pos]
-    M[rows.diag, rows.diag] += _REG * (1.0 + np.trace(M) / max(1, M.shape[0]))
-    return _cho_factor(M)
+
+    def __init__(self, rows: _BlockRows):
+        self.rows = rows
+        ng, nb, L = rows.ng, rows.nb, rows.L
+        Gg = rows.Gc[rows.grows, :ng]
+        S = Gg.T @ Gg
+        Rg = rows.Gc[rows.cpl, :ng]
+        j = np.arange(ng)
+        S[j, j] += _REG * (1.0 + S[j, j] + np.einsum("kj,kj->j", Rg, Rg))
+        if nb:
+            H = rows.H
+            K = np.matmul(H[:, :, ng:].transpose(0, 2, 1), H)     # (nb, L, ng + L)
+            D = K[:, :, ng:]
+            k = np.arange(L)
+            Rl = rows.Rl
+            D[:, k, k] += _REG * (1.0 + D[:, k, k]
+                                  + np.einsum("kj,kj->j", Rl, Rl).reshape(nb, L))
+            D[rows.pads[0], rows.pads[1], rows.pads[1]] = 1.0
+            self.Dinv = _inv_small(D)
+            self.C = K[:, :, :ng].reshape(nb * L, ng)
+            self.Y = np.matmul(self.Dinv, K[:, :, :ng]).reshape(nb * L, ng)  # D^-1 C
+            S -= self.C.T @ self.Y
+            if rows.cpl.size:
+                self.Zl = self._local(Rl)                          # (D^-1 Rl')'
+                self.E = Rg - Rl @ self.Y
+                # k x k and >= I: its inverse is accurate and cheaper to apply
+                eye = np.eye(Rl.shape[0])
+                self.cap_inv = _cho_solve(_cho_factor(eye + Rl @ self.Zl.T), eye)
+                S += self.E.T @ self.cap_inv @ self.E
+        self.chol = _cho_factor(S)
+
+    def _local(self, v: np.ndarray) -> np.ndarray:
+        """D^-1 v over the local entries (the last axis of v)."""
+        rows = self.rows
+        V = v.reshape(v.shape[:-1] + (rows.nb, rows.L))
+        return np.einsum("bij,...bj->...bi", self.Dinv, V).reshape(v.shape)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for b, or for each row of a stack b."""
+        rows = self.rows
+        ng = rows.ng
+        if not rows.nb:
+            return _cho_solve(self.chol, b)
+        t = self._local(b[..., ng:])
+        g = b[..., :ng] - t @ self.C
+        if not rows.cpl.size:
+            ug = _cho_solve(self.chol, g)
+            return np.concatenate((ug, t - ug @ self.Y.T), axis=-1)
+        a = t @ rows.Rl.T
+        ug = _cho_solve(self.chol, g - a @ self.cap_inv @ self.E)
+        w = (ug @ self.E.T + a) @ self.cap_inv
+        return np.concatenate((ug, t - ug @ self.Y.T - w @ self.Zl), axis=-1)
+
+
+def _inv_small(D: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of small symmetric positive definite blocks,
+    in closed form up to 2 x 2."""
+    L = D.shape[1]
+    if L == 1:
+        return 1.0 / D
+    if L == 2:
+        det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 0, 1]
+        inv = np.empty_like(D)
+        inv[:, 0, 0], inv[:, 1, 1] = D[:, 1, 1] / det, D[:, 0, 0] / det
+        inv[:, 0, 1] = inv[:, 1, 0] = -D[:, 0, 1] / det
+        return inv
+    return np.linalg.inv(D)
 
 
 class _KKT:
-    """Factorized core system [[0, G'], [G, -W^2]] via the Schur complement.
+    """Factorized core system [[0, G'], [G, -W^2]] via the normal equations
+    of the scaled rows W^-1 G."""
 
-    Single-nonzero bound rows are carried separately: they contribute only
-    diagonal terms to the Schur complement and scalar terms to the matrix-
-    vector products, so the dense work runs on the remaining rows alone.
-    """
-
-    def __init__(self, G: np.ndarray, W: _NTScaling, split: _RowSplit):
+    def __init__(self, rows: _BlockRows, W: _NTScaling):
         self.W = W
-        self.split = split
-        # the rows of Gt = W^-1 G, split like G's
-        self.scaled = split.with_rows(W.scale_rows(G))
-        self.chol = _schur_factor(self.scaled)
+        self.rows = rows
+        self.scaled = rows.scaled(W)
+        self.factor = _BlockFactor(self.scaled)
 
     def _solve_raw(self, p: np.ndarray, q: np.ndarray):
         Winv_q = self.W.apply_inv(q)
-        u = _cho_solve(self.chol, p + self.scaled.rmatvec(Winv_q))
+        u = self.factor.solve(p + self.scaled.rmatvec(Winv_q))
         v = self.W.apply_inv(self.scaled.matvec(u) - Winv_q)
         return u, v
 
     def solve(self, p: np.ndarray, q: np.ndarray):
-        """Return (u, v) with G'v = p and G u - W^2 v = q (iterative refinement)."""
+        """Return (u, v) with G'v = p and G u - W^2 v = q, for one right-hand
+        side or for each row of stacked ones (iterative refinement, which a
+        row leaves once its residual is tiny or stops halving)."""
         u, v = self._solve_raw(p, q)
-        scale = 1.0 + _norm(p) + _norm(q)
+        scale = 1.0 + _norms(p) + _norms(q)
         prev = np.inf
         for _ in range(2):
-            rp = p - self.split.rmatvec(v)
-            rq = q - (self.split.matvec(u) - self.W.apply(self.W.apply(v)))
-            err = max(_norm(rp), _norm(rq))
-            if err <= 1e-13 * scale or err >= 0.5 * prev:
+            rp = p - self.rows.rmatvec(v)
+            rq = q - (self.rows.matvec(u) - self.W.apply_sq(v))
+            err = np.maximum(_norms(rp), _norms(rq))
+            going = (err > 1e-13 * scale) & (err < 0.5 * prev)
+            if not going.any():
                 break
             prev = err
             du, dv = self._solve_raw(rp, rq)
+            if not going.all():
+                du[~going], dv[~going] = 0.0, 0.0
             u += du
             v += dv
         return u, v
@@ -477,9 +687,8 @@ def solve_socp(spec: SocpSpec, tol: float = _FEAS_TOL) -> SolveResult:
 
 
 def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
-    c = spec.c.copy()
     n = spec.n
-    G, h, lay = _assemble(spec)
+    c, rows, h, lay = _assemble(spec)
     m = lay.m
     if m == 0:
         return _result(SolveStatus.UNBOUNDED if np.any(c != 0) else SolveStatus.OPTIMAL,
@@ -490,12 +699,11 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
     e = lay.identity()
     degree = lay.degree + 1  # tau/kappa pair counts once
 
-    split = _RowSplit(G, lay.l)
     try:
-        chol = _schur_factor(split)
-        x = _cho_solve(chol, G.T @ h)
-        s = _shift_into_cone(lay, h - G @ x)
-        z = _shift_into_cone(lay, -G @ _cho_solve(chol, c))
+        normal = _BlockFactor(rows)
+        x = normal.solve(rows.rmatvec(h))
+        s = _shift_into_cone(lay, h - rows.matvec(x))
+        z = _shift_into_cone(lay, -rows.matvec(normal.solve(c)))
     except np.linalg.LinAlgError:
         return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, 0)
     tau, kappa = 1.0, 1.0
@@ -506,23 +714,27 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(z)):
             return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, it)
 
+        # G x and G'z serve the residuals, the certificates and the
+        # right-hand sides of this iteration
+        Gx, Gz = rows.matvec(x), rows.rmatvec(z)
+
         # convergence on the de-homogenized point
         xh, sh, zh = x / tau, s / tau, z / tau
-        pres = _norm(split.matvec(xh) + sh - h) / norm_h
-        dres = _norm(split.rmatvec(zh) + c) / norm_c
+        pres = _norm(Gx / tau + sh - h) / norm_h
+        dres = _norm(Gz / tau + c) / norm_c
         pobj = c @ xh
         gap_abs = sh @ zh
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
         if pres <= tol and dres <= tol and relgap <= tol:
-            return _result(SolveStatus.OPTIMAL, xh, float(pobj), float(pres), float(dres),
-                           float(max(gap_abs, 0.0)), it)
+            return _result(SolveStatus.OPTIMAL, rows.to_spec(xh), float(pobj), float(pres),
+                           float(dres), float(max(gap_abs, 0.0)), it)
         merit = pres + dres + relgap
         if best is None or merit < best[0] * 0.99:
             stall = 0
         else:
             stall += 1
         if best is None or merit < best[0]:
-            best = (merit, xh.copy(), float(pobj), float(pres), float(dres),
+            best = (merit, xh, float(pobj), float(pres), float(dres),
                     float(gap_abs), it)
         if stall >= 8:
             break
@@ -534,13 +746,11 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         cx = c @ x
         if hz < -1e-10:
             zc = z / (-hz)
-            if (np.linalg.norm(G.T @ zc) <= 1e-9 * norm_c
-                    and _min_cone_margin(lay, zc) >= -1e-9):
-                return _result(SolveStatus.INFEASIBLE, None, np.nan,
-                               float(np.linalg.norm(G.T @ zc)), np.nan, np.nan, it)
+            ray_res = _norm(Gz) / -hz
+            if ray_res <= 1e-9 * norm_c and _min_cone_margin(lay, zc) >= -1e-9:
+                return _result(SolveStatus.INFEASIBLE, None, np.nan, ray_res, np.nan, np.nan, it)
         if cx < -1e-10:
-            xc = x / (-cx)
-            ray_slack = -G @ xc
+            ray_slack = Gx / cx  # -G x / (-c.x)
             if _min_cone_margin(lay, ray_slack) >= -1e-9 * (
                 1.0 + np.linalg.norm(ray_slack)
             ):
@@ -552,37 +762,38 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
 
         try:
             W = _NTScaling(lay, s, z)
-            kkt = _KKT(G, W, split)
+            kkt = _KKT(rows, W)
         except (FloatingPointError, np.linalg.LinAlgError):
             break
         lam = W.apply(z)
         max_steps = _StepLimit(lay, s, z)
         mu = (s @ z + tau * kappa) / degree
 
-        r1 = split.rmatvec(z) + c * tau      # want 0
-        r2 = s + split.matvec(x) - h * tau   # want 0
+        r1 = Gz + c * tau      # want 0
+        r2 = s + Gx - h * tau  # want 0
         r3 = kappa + c @ x + h @ z       # want 0
 
-        u1, v1 = kkt.solve(-c, h)
+        # the predictor's system is solved together with the one for (-c, h),
+        # which both directions combine with.  Its ds_tilde solves
+        # lam o ds_tilde = -lam o lam, so it is -lam, and W(-lam) = -s
+        lam_sq = _jordan_product(lay, lam, lam)
+        dst_a, wdst_a = -lam, -s
+        (u1, u2), (v1, v2) = kkt.solve(np.stack((-c, -r1)), np.stack((h, -r2 - wdst_a)))
         denom = (c @ u1 + h @ v1) - kappa / tau
 
-        def direction(ds_rhs: np.ndarray, dkappa_rhs: float, fac: float):
-            ds_tilde = _jordan_solve(lay, lam, ds_rhs)
-            p = -fac * r1
-            q = -fac * r2 - W.apply(ds_tilde)
-            u2, v2 = kkt.solve(p, q)
-            num = (-fac * r3 - dkappa_rhs / tau) - (c @ u2 + h @ v2)
+        def direction(u, v, wdst: np.ndarray, fac: float, dkappa_rhs: float):
+            """The step from the solution (u, v) for the right-hand side
+            (-fac r1, -fac r2 - W ds_tilde), with wdst = W ds_tilde."""
+            num = (-fac * r3 - dkappa_rhs / tau) - (c @ u + h @ v)
             dtau = num / denom
-            dx = u2 + dtau * u1
-            dz = v2 + dtau * v1
-            ds = W.apply(ds_tilde - W.apply(dz))
+            dx = u + dtau * u1
+            dz = v + dtau * v1
+            ds = wdst - W.apply_sq(dz)
             dkappa = (dkappa_rhs - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
 
         # predictor
-        lam_sq = _jordan_product(lay, lam, lam)
-        ds_aff = -lam_sq
-        dx_a, dz_a, ds_a, dtau_a, dkap_a = direction(ds_aff, -tau * kappa, 1.0)
+        dx_a, dz_a, ds_a, dtau_a, dkap_a = direction(u2, v2, wdst_a, 1.0, -tau * kappa)
         step_s, step_z = max_steps(ds_a, dz_a)
         alpha = min(
             step_s,
@@ -593,12 +804,15 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         )
         sigma = float(min(max((1.0 - alpha) ** 3, 0.0), 1.0))
 
-        # corrector
-        corr = _jordan_product(lay, W.apply_inv(ds_a), W.apply(dz_a))
+        # corrector; W^-1 ds_a = ds_tilde_a - W dz_a
+        wdz_a = W.apply(dz_a)
+        corr = _jordan_product(lay, dst_a - wdz_a, wdz_a)
         ds_comb = -lam_sq - corr + sigma * mu * e
         dkap_comb = -(tau * kappa) - dtau_a * dkap_a + sigma * mu
         fac = 1.0 - sigma
-        dx, dz, ds, dtau, dkap = direction(ds_comb, dkap_comb, fac)
+        wdst = W.apply(_jordan_solve(lay, lam, ds_comb))
+        u2, v2 = kkt.solve(-fac * r1, -fac * r2 - wdst)
+        dx, dz, ds, dtau, dkap = direction(u2, v2, wdst, fac, dkap_comb)
 
         step_s, step_z = max_steps(ds, dz)
         step = min(
@@ -624,8 +838,9 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         _, xh, pobj, pres, dres, gap_abs, _ = best
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
         if pres <= tol and dres <= tol and relgap <= tol:
-            return _result(SolveStatus.OPTIMAL, xh, pobj, pres, dres, gap_abs, it)
+            return _result(SolveStatus.OPTIMAL, rows.to_spec(xh), pobj, pres, dres, gap_abs, it)
         if pres <= 1e-6 and dres <= 1e-6:
             # stalled short of full accuracy; report honestly as an iteration limit
-            return _result(SolveStatus.ITERATION_LIMIT, xh, pobj, pres, dres, gap_abs, it)
+            return _result(SolveStatus.ITERATION_LIMIT, rows.to_spec(xh), pobj, pres, dres,
+                           gap_abs, it)
     return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, it)

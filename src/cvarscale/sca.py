@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import SocCone, SocpSpec, SolveStatus, solve_socp
+from .conic import ConeStack, SocpSpec, SolveStatus, solve_socp
 from .cvar import _head_rows, _scenario_rows, solve_scaled_cvar
 from .errors import InfeasibleProblem, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, g_max_all
@@ -123,22 +123,27 @@ def build_dc_subproblem(
     r_const = a * a - 2.0 * a * tangent.anchor_alpha[scen_of] + 2.0 * a * w_dot_x
     F = np.stack([2.0 * q_coef, -r_coef], axis=1)
     f = np.stack([2.0 * d, 1.0 - r_const], axis=1)
-    cones = tuple(SocCone(F=F[i], f=f[i], g=r_coef[i], h=1.0 + r_const[i]) for i in k)
+    cones = ConeStack(F=F, f=f, g=r_coef, h=1.0 + r_const)
 
     lb = np.concatenate([lb, np.ones(n_relax)])
     ub = np.concatenate([ub, np.full(n_relax, tol.alpha_max)])
-    return SocpSpec(c=c, A=A, b=b, cones=cones, lb=lb, ub=ub)
+    # x and beta are global; s_i and alpha_i belong to scenario i's block
+    partition = np.concatenate([np.full(n + 1, -1), np.arange(N), np.flatnonzero(relax)])
+    return SocpSpec(c=c, A=A, b=b, cones=cones, lb=lb, ub=ub, partition=partition)
 
 
 def point_feasible_in_subproblem(
     spec: SocpSpec, z: np.ndarray, slack: float = 1e-7
 ) -> bool:
-    """Check one stacked point against every row, cone, and bound of the spec."""
+    """Check one stacked point against every row, cone, and bound of a spec
+    from ``build_dc_subproblem`` (its cones are one ``ConeStack``)."""
     if spec.A.shape[0] and np.max(spec.A @ z - spec.b) > slack:
         return False
-    for cone in spec.cones:
-        if np.linalg.norm(cone.F @ z + cone.f) > float(cone.g @ z) + cone.h + slack:
-            return False
+    cones = spec.cones
+    if len(cones) and np.any(
+        np.linalg.norm(cones.F @ z + cones.f, axis=1) > cones.g @ z + cones.h + slack
+    ):
+        return False
     if np.max(spec.lb - z, initial=0.0) > slack or np.max(z - spec.ub, initial=0.0) > slack:
         return False
     return True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvarscale.conic import (
+    ConeStack,
     LinearProgramSpec,
     SocCone,
     SocpSpec,
@@ -348,6 +349,48 @@ class TestInteriorPoint:
         assert interleaved.objective == ordered.objective
         assert interleaved.iterations == ordered.iterations
 
+    def test_cone_stack_matches_cone_tuple(self):
+        rng = np.random.default_rng(21)
+        n, x0 = 5, rng.normal(size=5)
+        F, f, g = rng.normal(size=(4, 2, n)), rng.normal(size=(4, 2)), rng.normal(size=(4, n))
+        h = np.linalg.norm(F @ x0 + f, axis=1) - g @ x0 + 1.0
+        stack = ConeStack(F=F, f=f, g=g, h=h)
+        assert len(stack) == 4 and np.array_equal(stack[2].F, F[2]) and stack[3].h == h[3]
+        c = rng.normal(size=n)
+        got, want = (
+            solve_socp(SocpSpec(c=c, A=np.zeros((0, n)), b=[], cones=cones,
+                                lb=[-5.0] * n, ub=[5.0] * n))
+            for cones in (stack, tuple(stack))
+        )
+        assert want.status == SolveStatus.OPTIMAL
+        assert np.array_equal(got.z, want.z) and got.iterations == want.iterations
+
+    def test_stack_and_partition_shapes_checked(self):
+        from cvarscale.errors import DimensionMismatch
+
+        with pytest.raises(DimensionMismatch):
+            ConeStack(F=np.zeros((2, 1, 3)), f=np.zeros((2, 2)), g=np.zeros((2, 3)), h=[0, 0])
+        stack = ConeStack(F=np.zeros((1, 1, 3)), f=[[0.0]], g=np.zeros((1, 3)), h=[1.0])
+        with pytest.raises(DimensionMismatch):
+            SocpSpec(c=[1.0, 0.0], A=np.zeros((0, 2)), b=[], cones=stack, lb=[0, 0], ub=[1, 1])
+        with pytest.raises(DimensionMismatch):
+            SocpSpec(c=[1.0, 0.0, 0.0], A=np.zeros((0, 3)), b=[], cones=stack,
+                     lb=[0, 0, 0], ub=[1, 1, 1], partition=[-1, 0])
+
+
+def _split(G, lay, part):
+    """The block rows of a dense G whose rows follow ``lay``, with each
+    cone's rows on the block of the cone, as the solver's assembly writes
+    them (without its equilibration)."""
+    from cvarscale.conic.ipm import _BlockRows, _Columns
+
+    cols = _Columns(part)
+    own = cols.owners(G != 0)
+    for d in lay.groups:
+        cone = lay.view(own, d)
+        cone[:] = cone.max(axis=1)[:, None]
+    return _BlockRows.build(cols.gather(G, own), cols.local(G[own == -2]), own, cols, lay)
+
 
 def _cone_blocks(lay):
     """The stacked-vector slice of every cone block, one block at a time."""
@@ -435,22 +478,96 @@ class TestInteriorPointKernels:
         assert np.array_equal(np.flatnonzero(lay.identity()),
                               [0, 1, 2, 3, 4, 6, 9, 12, 16])
 
-    def test_row_split_products_match_dense(self):
-        from cvarscale.conic.ipm import _RowSplit
+    @staticmethod
+    def _partitioned_rows(rng):
+        """Rows over 8 columns: 3 global, block 0 = {0, 5}, block 1 = {3},
+        block 2 = {2, 6}; six orthant rows (one coupling blocks 0 and 2, a
+        global-only row, single-column bounds) and cones of dimensions 3, 3
+        and 4 (the last on global columns only)."""
+        from cvarscale.conic.ipm import _ConeLayout
+
+        part = np.array([0, -1, 2, 1, -1, 0, 2, -1])
+        lay = _ConeLayout.build(6, [3, 3, 4])
+        G = np.zeros((lay.m, 8))
+        glob = [1, 4, 7]
+        G[0, glob + [0, 5, 6]] = rng.normal(size=6)  # couples blocks 0 and 2
+        G[1, glob] = rng.normal(size=3)
+        G[2, [1, 3]] = rng.normal(size=2)
+        G[3, 5] = -1.0
+        G[4, 4] = 1.0
+        G[5, [2, 6]] = rng.normal(size=2)
+        G[6:9][:, glob + [0, 5]] = rng.normal(size=(3, 5))
+        G[6, [0, 5]] = 0.0  # a cone row with no local entry takes the cone's block
+        G[9:12][:, glob + [2, 6]] = rng.normal(size=(3, 5))
+        G[12:16][:, glob] = rng.normal(size=(4, 3))
+        return G, lay, part
+
+    def test_block_rows_products_match_dense(self):
+        from cvarscale.conic.ipm import _NTScaling
 
         rng = np.random.default_rng(7)
-        n = 5
-        dense = rng.normal(size=(4, n))
-        # single-nonzero rows that hit columns 1 and 3 more than once
-        simple = np.zeros((5, n))
-        simple[[0, 1, 2, 3, 4], [1, 3, 1, 0, 1]] = [2.0, -1.0, 0.5, 3.0, -4.0]
-        G = np.vstack([simple, dense])
-        split = _RowSplit(G, l=G.shape[0])
-        u, w = rng.normal(size=n), rng.normal(size=G.shape[0])
-        assert np.allclose(split.matvec(u), G @ u, rtol=0, atol=1e-13)
-        want = G[split.dense].T @ w[split.dense]
-        np.add.at(want, split.cols, split.coef * w[split.simple])
-        assert np.array_equal(split.rmatvec(w), want)
+        G, lay, part = self._partitioned_rows(rng)
+        rows = _split(G, lay, part)
+        assert (rows.ng, rows.nb, rows.L) == (3, 3, 2)
+        assert np.array_equal(rows.cpl, [0])
+        u = rng.normal(size=(2, rows.cols.size))  # padding entries read as zero
+        w = rng.normal(size=(2, lay.m))
+        z = np.array([rows.to_spec(v) for v in u])
+        assert np.array_equal(rows.to_spec(rows.to_internal(z[0])), z[0])
+        for k in range(2):
+            assert np.allclose(rows.matvec(u[k]), G @ z[k], rtol=0, atol=1e-13)
+            assert np.allclose(rows.rmatvec(w[k]), rows.to_internal(G.T @ w[k]),
+                               rtol=0, atol=1e-13)
+        assert np.allclose(rows.matvec(u), z @ G.T, rtol=0, atol=1e-13)
+        assert np.allclose(rows.rmatvec(w), [rows.to_internal(G.T @ v) for v in w],
+                           rtol=0, atol=1e-13)
+        s, zc = (self._layout_and_interior(rng, 6, [3, 3, 4])[1]() for _ in range(2))
+        W = _NTScaling(lay, s, zc)
+        assert np.allclose(rows.scaled(W).matvec(u[0]), W.scale_rows(G) @ z[0],
+                           rtol=0, atol=1e-12)
+        dense = _split(G, lay, np.full(8, -1))
+        assert dense.nb == 0 and np.array_equal(dense.matvec(z[0]), G @ z[0])
+
+    def test_block_factor_matches_dense_solve(self):
+        from cvarscale.conic.ipm import _REG, _BlockFactor
+
+        rng = np.random.default_rng(8)
+        G, lay, part = self._partitioned_rows(rng)
+        M = G.T @ G
+        M[np.diag_indices(8)] += _REG * (1.0 + np.diag(M))
+        b = rng.normal(size=(2, 8))
+        want = np.linalg.solve(M, b.T).T
+        for p in (part, np.full(8, -1)):
+            rows = _split(G, lay, p)
+            got = _BlockFactor(rows).solve(np.array([rows.to_internal(v) for v in b]))
+            got = np.array([rows.to_spec(v) for v in got])
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_cone_across_blocks_rejected(self, monkeypatch):
+        from cvarscale.conic import ipm
+
+        monkeypatch.setattr(ipm, "_MIN_BLOCKS", 1)
+        # the cone's F touches column 1 (block 0) and column 2 (block 1)
+        stack = ConeStack(F=[[[0.0, 1.0, 1.0]]], f=[[0.0]], g=[[1.0, 0.0, 0.0]], h=[1.0])
+        spec = SocpSpec(c=[1.0, 0.0, 0.0], A=np.zeros((0, 3)), b=[], cones=stack,
+                        lb=[-1.0] * 3, ub=[1.0] * 3, partition=[-1, 0, 1])
+        with pytest.raises(ValueError, match="more than one local column block"):
+            ipm._assemble(spec)
+        ipm._assemble(SocpSpec(c=spec.c, A=spec.A, b=spec.b, cones=stack, lb=spec.lb,
+                               ub=spec.ub, partition=[-1, 0, 0]))
+
+    @pytest.mark.parametrize("dims", [[3] * 6, [2, 3, 3, 4, 4]])
+    def test_square_matches_double_apply(self, dims):
+        from cvarscale.conic.ipm import _NTScaling
+
+        rng = np.random.default_rng(12)
+        lay, interior = self._layout_and_interior(rng, 4, dims)
+        W = _NTScaling(lay, interior(), interior())
+        u = rng.normal(size=(3, lay.m))
+        twice = np.array([W.apply(W.apply(v)) for v in u])
+        got = W.apply_sq(u)
+        assert np.max(np.abs(got - twice)) <= 1e-13 * np.abs(twice).max()
+        assert np.array_equal(got[1], W.apply_sq(u[1]))
 
     @pytest.mark.parametrize("dims", [[3] * 6, [2, 3, 3, 4, 4]])
     def test_scaling_matches_reference(self, dims):

@@ -148,6 +148,20 @@ def loop_dc_subproblem(instance, x_k, alpha_k, relax_set, tol=None):
     )
 
 
+def loop_point_violation(spec, z, slack):
+    """Reference: the first kind of constraint ("row", "cone", "bound") that
+    the point violates by more than ``slack``, checking one cone at a time,
+    or None."""
+    if spec.A.shape[0] and np.max(spec.A @ z - spec.b) > slack:
+        return "row"
+    for cone in spec.cones:
+        if np.linalg.norm(cone.F @ z + cone.f) > float(cone.g @ z) + cone.h + slack:
+            return "cone"
+    if np.max(spec.lb - z, initial=0.0) > slack or np.max(z - spec.ub, initial=0.0) > slack:
+        return "bound"
+    return None
+
+
 def same_bits(a, b) -> bool:
     """Equal shape and bytes, so signed zeros must match too."""
     a, b = np.asarray(a), np.asarray(b)
@@ -194,6 +208,38 @@ class TestSubproblemArrays:
             hybrid_refine(inst, sol.x, RUN_TOL)
         assert shapes == {1, 2, 3}
         assert len(built) > 20
+
+    def test_point_check_matches_loop(self, monkeypatch):
+        # every subproblem the plain and hybrid loops solve on corpus
+        # instances 0-5, at its solution and at perturbations of it
+        import cvarscale.sca as sca_mod
+        from tests.test_acceptance import RUN_TOL, _mixed_instance
+
+        solved = []
+
+        def recording(spec, tol):
+            res = solve_socp(spec, tol)
+            solved.append((spec, res.z))
+            return res
+
+        monkeypatch.setattr(sca_mod, "solve_socp", recording)
+        for seed in range(6):
+            inst = _mixed_instance(seed)
+            sol = solve_cvar(inst, RUN_TOL)
+            if sol.optimal:
+                sequential_convex(inst, sol.x, RUN_TOL)
+                hybrid_refine(inst, sol.x, RUN_TOL)
+        rng = np.random.default_rng(4)
+        seen = set()
+        for spec, z in solved:
+            for size in (0.0, 1e-7, 1e-4, 1e-2):
+                point = z + size * rng.normal(size=z.size)
+                for slack in (1e-9, 1e-7, 1e-6):
+                    want = loop_point_violation(spec, point, slack)
+                    assert point_feasible_in_subproblem(spec, point, slack) == (want is None)
+                    seen.add(want)
+        assert len(solved) > 20
+        assert seen == {None, "row", "cone", "bound"}
 
     def test_corpus_anchors_and_relax_sets(self):
         from tests.test_acceptance import _mixed_instance
@@ -328,23 +374,39 @@ class TestHybridLoop:
         assert trace.incumbent.objective <= sol.objective + 1e-9
 
 
-def test_stalled_subproblem_reports_iterations_run(monkeypatch):
-    # corpus instance 2 has SCA subproblems that stop on the interior-point
-    # stall rule just short of the 1e-9 inner tolerance; they must report the
-    # iterations they ran, not the 200-iteration cap
+def _instance_2_subproblems(monkeypatch):
+    """The (spec, result) pairs of the plain loop on corpus instance 2."""
     import cvarscale.sca as sca_mod
     from tests.test_acceptance import RUN_TOL, _mixed_instance
 
-    results = []
+    solved = []
 
     def recording(spec, tol):
         res = solve_socp(spec, tol)
-        results.append(res)
+        solved.append((spec, res))
         return res
 
     monkeypatch.setattr(sca_mod, "solve_socp", recording)
     inst = _mixed_instance(2)
     sequential_convex(inst, solve_cvar(inst, RUN_TOL).x, RUN_TOL)
-    stalled = [r for r in results if r.status == SolveStatus.ITERATION_LIMIT]
+    return solved
+
+
+def test_subproblems_end_optimal(monkeypatch):
+    # these subproblems used to stop on the interior-point stall rule just
+    # short of the 1e-9 inner tolerance, when the ridge on the normal
+    # equations followed their mean diagonal instead of each entry
+    solved = _instance_2_subproblems(monkeypatch)
+    assert len(solved) > 5
+    assert all(res.status == SolveStatus.OPTIMAL for _, res in solved)
+
+
+def test_stalled_subproblem_reports_iterations_run(monkeypatch):
+    # a subproblem asked for a tolerance no double-precision solve reaches
+    # stops on the stall rule; it must report the iterations it ran, not the
+    # 200-iteration cap
+    stalled = [res for res in (solve_socp(spec, 1e-16)
+                               for spec, _ in _instance_2_subproblems(monkeypatch)[:3])
+               if res.status == SolveStatus.ITERATION_LIMIT]
     assert stalled
     assert all(8 <= r.iterations < 200 for r in stalled)
