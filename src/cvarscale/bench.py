@@ -47,9 +47,9 @@ __all__ = [
 
 REPORT_HEADER = "instance,eps,method,value,time_s,improvement_pct,feasible,violation_prob"
 
-# risk levels used throughout the experiments; chosen so that N * eps is
-# never an integer for desk-scale N
-DEFAULT_EPSILONS = (0.050333, 0.100333, 0.200333, 0.300333)
+# row coefficients of both families, and the covering rows' offsets
+_COEFF_RANGE = (0.8, 1.2)
+_DEMAND_RANGE = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class GeneratorConfig:
     epsilon: float = 0.100333
     seed: int = 0
     budget_fraction: float = 0.2      # portfolio: sum(x) <= fraction * n
-    coeff_range: tuple[float, float] = (0.8, 1.2)
     cost_range: tuple[int, int] = (1, 100)    # integer costs, inclusive
-    demand_range: tuple[float, float] = (0.5, 1.5)  # covering offsets
 
     def __post_init__(self):
         if self.family not in ("portfolio", "covering"):
@@ -75,12 +73,11 @@ class GeneratorConfig:
 
 
 def generate_portfolio(config: GeneratorConfig) -> CcpInstance:
-    """Single-row scenarios  1 - xi.x <= 0  with xi ~ U[coeff_range]^n."""
+    """Single-row scenarios  1 - xi.x <= 0  with xi ~ U[0.8, 1.2]^n."""
     if config.family != "portfolio":
         raise ConfigError("config.family must be 'portfolio'")
     rng = np.random.default_rng(config.seed)
-    lo, hi = config.coeff_range
-    xi = rng.uniform(lo, hi, size=(config.N, config.n))
+    xi = rng.uniform(*_COEFF_RANGE, size=(config.N, config.n))
     c = rng.integers(config.cost_range[0], config.cost_range[1] + 1, size=config.n)
     scenarios = tuple(
         Scenario(W=-xi[i][None, :], d=np.ones(1), p=1.0 / config.N) for i in range(config.N)
@@ -101,11 +98,10 @@ def generate_covering(config: GeneratorConfig) -> CcpInstance:
     if config.family != "covering":
         raise ConfigError("config.family must be 'covering'")
     rng = np.random.default_rng(config.seed)
-    lo, hi = config.coeff_range
     scenarios = []
     for _ in range(config.N):
-        A = rng.uniform(max(lo, 0.0), hi, size=(config.J, config.n))
-        b = rng.uniform(config.demand_range[0], config.demand_range[1], size=config.J)
+        A = rng.uniform(*_COEFF_RANGE, size=(config.J, config.n))
+        b = rng.uniform(*_DEMAND_RANGE, size=config.J)
         scenarios.append(Scenario(W=-A, d=b, p=1.0 / config.N))
     c = rng.integers(config.cost_range[0], config.cost_range[1] + 1, size=config.n)
     domain = Domain(lb=np.zeros(config.n), ub=np.ones(config.n))

@@ -11,13 +11,14 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bench as bench_mod
 from .alsox import alsox_sharp, alsox_sharp_scaled
-from .cvar import solve_cvar, solve_scaled_cvar
+from .cvar import solution_doc, solve_cvar, solve_scaled_cvar
 from .errors import (
     ConfigError,
     CvarScaleError,
@@ -40,7 +41,6 @@ from .model import (
     load_instance,
     save_instance,
     validate,
-    violation_probability,
 )
 from .sca import hybrid_refine, sequential_convex
 from .scaling import pin_alpha_mask, scaling_heuristic, scenario_cost_floors
@@ -63,25 +63,19 @@ _INPUT_ERRORS = (
 )
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    d = Tolerances()
-    p.add_argument("--feas-tol", type=float, default=d.feas_tol)
-    p.add_argument("--delta1", type=float, default=d.delta1)
-    p.add_argument("--delta2", type=float, default=d.delta2)
-    p.add_argument("--alpha-max", type=float, default=d.alpha_max)
-    p.add_argument("--max-iter", type=int, default=d.max_iter)
-    p.add_argument("--delta-a", type=float, default=d.delta_A)
+def _add_tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """A flag per named ``Tolerances`` field (default: all), in field order;
+    ``delta_A`` is ``--delta-a``.  ``_tolerances`` reads them back."""
+    for f in fields(Tolerances):
+        if not names or f.name in names:
+            p.add_argument("--" + f.name.lower().replace("_", "-"), dest=f.name,
+                           type=type(f.default), default=f.default)
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        feas_tol=args.feas_tol,
-        delta1=args.delta1,
-        delta2=args.delta2,
-        alpha_max=args.alpha_max,
-        max_iter=args.max_iter,
-        delta_A=args.delta_a,
-    )
+    """Tolerances from the registered flags; the other fields keep defaults."""
+    return Tolerances(**{f.name: getattr(args, f.name)
+                         for f in fields(Tolerances) if hasattr(args, f.name)})
 
 
 def _write(doc: dict, path: str | None) -> None:
@@ -118,24 +112,11 @@ def _initial_point(instance, args, tol) -> np.ndarray:
     return sol.x
 
 
-def _point_doc(instance, objective, x, alpha, tol) -> dict:
-    """Solution document for a point that carries no (beta, s)."""
-    return {
-        "objective": objective,
-        "x": [float(v) for v in x],
-        "beta": None,
-        "s": None,
-        "alpha": [float(v) for v in alpha],
-        "status": "optimal",
-        "violation_prob": violation_probability(instance, x, tol.feas_tol),
-    }
-
-
 def cmd_solve(args) -> int:
     instance = _load(args.instance)
     tol = _tolerances(args)
     doc: dict
-    trace_doc = None
+    trace = None  # an object with save(path), for --trace-file
 
     if args.method == "cvar":
         sol = solve_cvar(instance, tol)
@@ -155,14 +136,14 @@ def cmd_solve(args) -> int:
         doc = sol.to_dict(instance, tol.feas_tol)
     elif args.method == "exact":
         res = brute_force_optimal(instance, tol=tol)
-        doc = _point_doc(instance, res.v_star, res.x_star, [1.0] * instance.N, tol)
+        doc = solution_doc(res.v_star, res.x_star, [1.0] * instance.N, instance, tol.feas_tol)
         doc["satisfied_set"] = list(res.satisfied_set)
     elif args.method in ("alsox", "alsox-scaled"):
         run = alsox_sharp if args.method == "alsox" else alsox_sharp_scaled
         rep = run(instance, tol=tol)
-        doc = _point_doc(instance, rep.objective, rep.x, [1.0] * instance.N, tol)
+        doc = solution_doc(rep.objective, rep.x, [1.0] * instance.N, instance, tol.feas_tol)
         doc["t_upper"] = rep.t_upper
-        trace_doc = rep.to_dict()
+        trace = rep
     else:  # alg1 / alg2 / alg3
         x0 = _initial_point(instance, args, tol)
         fixed_mask = None
@@ -183,11 +164,10 @@ def cmd_solve(args) -> int:
         if sol.optimal and sol.objective <= inc.objective + 1e-9:
             doc = sol.to_dict(instance, tol.feas_tol)
         else:
-            doc = _point_doc(instance, inc.objective, inc.x, inc.alpha, tol)
-        trace_doc = trace.to_dict()
+            doc = solution_doc(inc.objective, inc.x, inc.alpha, instance, tol.feas_tol)
 
-    if trace_doc is not None and args.trace_file:
-        Path(args.trace_file).write_text(json.dumps(trace_doc, indent=1))
+    if trace is not None and args.trace_file:
+        trace.save(args.trace_file)
     _write(doc, args.output)
     return EXIT_OK
 
@@ -322,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=int, required=True, help="1-based scenario index")
     p.add_argument("--grid", required=True, help="comma-separated factors, e.g. 1,2,6,50")
     p.add_argument("--output", "-o")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "alpha_max")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="write a synthetic instance file")

@@ -8,10 +8,13 @@ Standard conic form with a homogeneous self-dual embedding:
 where K is a product of a nonnegative orthant and second-order cones
 Q_d = {(u0, u1) : u0 >= ||u1||_2}.  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector; the embedding yields verified
-certificates for infeasible and unbounded problems.  The cone blocks are
-stored in ascending dimension, so the blocks of one dimension fill one slice
-of the stacked vector and every kernel processes them as a single batch
-through a reshape of that slice.
+certificates for infeasible and unbounded problems.  Every solve runs to
+residuals and relative gap at most ``_FEAS_TOL`` (1e-8).  There is no
+per-call accuracy: the package's SCA loops take only the scaling factors
+from each cone solve and re-solve the scaled CVaR LP at them.  The cone
+blocks are stored in ascending dimension, so the blocks of one dimension
+fill one slice of the stacked vector and every kernel processes them as a
+single batch through a reshape of that slice.
 
 Each iteration solves the KKT system through the normal equations
 G'W^-2 G, on one of two paths:
@@ -678,15 +681,16 @@ def _result(status, z, obj, pres, dres, gap, iters) -> SolveResult:
     )
 
 
-def solve_socp(spec: SocpSpec, tol: float = _FEAS_TOL) -> SolveResult:
-    """Solve the SOCP to residuals and relative gap at most ``tol``."""
+def solve_socp(spec: SocpSpec) -> SolveResult:
+    """Solve the SOCP to residuals and relative gap at most ``_FEAS_TOL``; a
+    stalled point with residuals at most 1e-6 comes back as ITERATION_LIMIT."""
     # boundary iterates can transiently produce inf/nan; every such case is
     # caught explicitly, so silence the intermediate floating-point warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _solve_socp(spec, tol)
+        return _solve_socp(spec)
 
 
-def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
+def _solve_socp(spec: SocpSpec) -> SolveResult:
     n = spec.n
     c, rows, h, lay = _assemble(spec)
     m = lay.m
@@ -725,7 +729,7 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         pobj = c @ xh
         gap_abs = sh @ zh
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
-        if pres <= tol and dres <= tol and relgap <= tol:
+        if pres <= _FEAS_TOL and dres <= _FEAS_TOL and relgap <= _FEAS_TOL:
             return _result(SolveStatus.OPTIMAL, rows.to_spec(xh), float(pobj), float(pres),
                            float(dres), float(max(gap_abs, 0.0)), it)
         merit = pres + dres + relgap
@@ -832,13 +836,12 @@ def _solve_socp(spec: SocpSpec, tol: float) -> SolveResult:
         kappa += step * dkap
     else:
         it = _MAX_ITER
-    # it counts the steps taken: a break at index it leaves before that step
+    # it counts the steps taken: a break at index it leaves before that step.
+    # The loop returns on the first iterate that meets _FEAS_TOL, so the best
+    # stored one does not
 
     if best is not None:
         _, xh, pobj, pres, dres, gap_abs, _ = best
-        relgap = abs(gap_abs) / max(1.0, abs(pobj))
-        if pres <= tol and dres <= tol and relgap <= tol:
-            return _result(SolveStatus.OPTIMAL, rows.to_spec(xh), pobj, pres, dres, gap_abs, it)
         if pres <= 1e-6 and dres <= 1e-6:
             # stalled short of full accuracy; report honestly as an iteration limit
             return _result(SolveStatus.ITERATION_LIMIT, rows.to_spec(xh), pobj, pres, dres,

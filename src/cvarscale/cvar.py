@@ -36,6 +36,7 @@ from .model import CcpInstance, ScalingVector, Tolerances, g_max_all, violation_
 
 __all__ = [
     "CvarSolution",
+    "solution_doc",
     "solve_cvar",
     "solve_scaled_cvar",
     "scaled_feasibility_at_x",
@@ -60,19 +61,27 @@ class CvarSolution:
 
     def to_dict(self, instance: CcpInstance | None = None, feas_tol: float = 1e-6) -> dict:
         """JSON document; ``violation_prob`` counts rows above ``feas_tol``."""
-        doc = {
-            "objective": None if np.isnan(self.objective) else float(self.objective),
-            "x": None if self.x is None else [float(v) for v in self.x],
-            "beta": None if self.x is None else float(self.beta),
-            "s": None if self.s is None else [float(v) for v in self.s],
-            "alpha": [float(v) for v in self.alpha],
-            "status": self.status.value,
-        }
-        if instance is not None and self.x is not None:
-            doc["violation_prob"] = violation_probability(instance, self.x, feas_tol)
-        else:
-            doc["violation_prob"] = None
-        return doc
+        return solution_doc(
+            self.objective, self.x, self.alpha, instance, feas_tol,
+            beta=None if self.x is None else self.beta, s=self.s, status=self.status,
+        )
+
+
+def solution_doc(objective, x, alpha, instance: CcpInstance | None, feas_tol: float,
+                 beta=None, s=None, status=SolveStatus.OPTIMAL) -> dict:
+    """The document {objective, x, beta, s, alpha, status, violation_prob} of a
+    CVaR solution or of a point without (beta, s); ``violation_prob`` counts
+    rows above ``feas_tol`` (None without an instance or a point)."""
+    return {
+        "objective": None if np.isnan(objective) else float(objective),
+        "x": None if x is None else [float(v) for v in x],
+        "beta": None if beta is None else float(beta),
+        "s": None if s is None else [float(v) for v in s],
+        "alpha": [float(v) for v in alpha],
+        "status": status.value,
+        "violation_prob": (None if instance is None or x is None
+                           else violation_probability(instance, x, feas_tol)),
+    }
 
 
 def _scenario_rows(

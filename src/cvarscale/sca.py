@@ -12,6 +12,12 @@ Two loops are provided: one relaxing every scenario, and a hybrid that only
 relaxes the scenarios currently strictly satisfied (all others keep factor
 one, which keeps the cone count small) and then hands its factors to the
 plain scaling heuristic for a final refinement.
+
+Each subproblem is solved at the cone solver's own accuracy.  The loop
+keeps its scaling factors and re-solves the scaled CVaR LP at them; that
+LP's exact vertex replaces the cone point unless its value exceeds the cone
+value by more than 1e-6, which keeps the recorded objectives monotone below
+the cone solver's noise.
 """
 
 from __future__ import annotations
@@ -32,11 +38,6 @@ __all__ = [
     "sequential_convex",
     "hybrid_refine",
 ]
-
-# subproblem solves run tighter than the solver default (1e-8) so that the
-# recorded objective sequence is monotone well inside 1e-9
-_INNER_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SquareTangent:
@@ -191,7 +192,7 @@ def _sca_loop(
             z_prev = _stack_point(instance, x, beta, s, alpha, relax_idx)
             if not point_feasible_in_subproblem(spec, z_prev, slack=1e-6):
                 raise SolverFailure("anchor admissibility violated; subproblem is malformed")
-        res = solve_socp(spec, _INNER_TOL)
+        res = solve_socp(spec)
         if res.status in (SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT) and res.z is not None:
             x, beta, s, alpha = _extract(instance, relax_idx, res.z, tol.alpha_max)
             objective = res.objective

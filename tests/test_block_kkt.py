@@ -24,6 +24,10 @@ from tests.test_acceptance import RUN_TOL, _mixed_instance
 _EPS_COND = 1e-15
 
 
+# the accuracy these comparisons were sized at, tighter than the solver's own
+_TOL = 1e-9
+
+
 def _dense(spec: SocpSpec) -> SocpSpec:
     return SocpSpec(c=spec.c, A=spec.A, b=spec.b, cones=spec.cones, lb=spec.lb, ub=spec.ub)
 
@@ -32,11 +36,12 @@ def _dense(spec: SocpSpec) -> SocpSpec:
 def subproblems():
     specs = []
 
-    def recording(spec, tol):
+    def recording(spec):
         specs.append(spec)
-        return solve_socp(spec, tol)
+        return solve_socp(spec)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipm, "_FEAS_TOL", _TOL)
         mp.setattr(sca_mod, "solve_socp", recording)
         for seed in range(30):
             inst = _mixed_instance(seed)
@@ -60,8 +65,10 @@ def subproblems():
 
 @pytest.fixture
 def block_path(monkeypatch):
-    # every spec with a partition takes the block path, whatever its size
+    # every spec with a partition takes the block path, whatever its size,
+    # and every solve runs to _TOL
     monkeypatch.setattr(ipm, "_MIN_BLOCKS", 1)
+    monkeypatch.setattr(ipm, "_FEAS_TOL", _TOL)
 
 
 def test_subproblem_set_covers_the_cases(subproblems):
@@ -74,7 +81,7 @@ def test_subproblem_set_covers_the_cases(subproblems):
 @pytest.mark.slow
 def test_solves_agree(subproblems, block_path):
     for k, spec in enumerate(subproblems):
-        block, dense = solve_socp(spec, 1e-9), solve_socp(_dense(spec), 1e-9)
+        block, dense = solve_socp(spec), solve_socp(_dense(spec))
         assert block.status == dense.status, k
         if dense.status in (SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT):
             gap = abs(block.objective - dense.objective)
@@ -113,5 +120,5 @@ def test_directions_agree(subproblems, block_path, monkeypatch):
                 return u, v
 
         monkeypatch.setattr(ipm, "_KKT", Paired)
-        assert solve_socp(_dense(spec), 1e-9).status == SolveStatus.OPTIMAL
+        assert solve_socp(_dense(spec)).status == SolveStatus.OPTIMAL
     assert strict >= total // 3

@@ -2,10 +2,26 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from cvarscale import load_instance, save_instance, validate
+import cvarscale.bench as bench_mod
+import cvarscale.cli as cli_mod
+from cvarscale import Tolerances, load_instance, save_instance, validate
 from cvarscale.cli import main
+from cvarscale.cvar import solve_cvar
+from cvarscale.errors import ConfigError
+from cvarscale.scaling import pin_alpha_mask, scaling_heuristic, scenario_cost_floors
+
+# every tolerance flag, in Tolerances field order, with a non-default value
+TOLERANCE_FLAGS = {
+    "--feas-tol": ("feas_tol", 2e-6),
+    "--delta1": ("delta1", 3e-4),
+    "--delta2": ("delta2", -0.01),
+    "--alpha-max": ("alpha_max", 77.0),
+    "--max-iter": ("max_iter", 7),
+    "--delta-a": ("delta_A", 0.2),
+}
 
 
 @pytest.fixture()
@@ -115,6 +131,94 @@ class TestSolveCommand:
             assert list(doc) == head + extra
             assert doc["beta"] is None and doc["s"] is None
             assert doc["alpha"] == [1.0, 1.0] and doc["status"] == "optimal"
+
+
+class TestToleranceFlags:
+    @staticmethod
+    def _capture(monkeypatch, module, name):
+        """Replace module.name by a stub that records the Tolerances it gets,
+        then stops the command with an input error (exit 2)."""
+        seen = []
+
+        def stub(*args, **kwargs):
+            seen.append(next(a for a in (*args, *kwargs.values()) if isinstance(a, Tolerances)))
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(module, name, stub)
+        return seen
+
+    @staticmethod
+    def _argv(flags):
+        return [arg for flag in flags for arg in (flag, str(TOLERANCE_FLAGS[flag][1]))]
+
+    @staticmethod
+    def _want(flags):
+        return Tolerances(**dict(TOLERANCE_FLAGS[flag] for flag in flags))
+
+    @pytest.mark.parametrize("flag", list(TOLERANCE_FLAGS))
+    def test_solve_flag_reaches_its_field(self, flag, two_scenario_file, monkeypatch):
+        seen = self._capture(monkeypatch, cli_mod, "solve_cvar")
+        assert main(["solve", two_scenario_file, "--method", "cvar", *self._argv([flag])]) == 2
+        assert seen == [self._want([flag])]
+
+    @pytest.mark.parametrize("flag", list(TOLERANCE_FLAGS))
+    def test_bench_flag_reaches_its_field(self, flag, two_scenario_file, monkeypatch):
+        seen = self._capture(monkeypatch, bench_mod, "run_experiment")
+        assert main(["bench", "--instance", two_scenario_file, *self._argv([flag])]) == 2
+        assert seen == [self._want([flag])]
+
+    def test_all_flags_together_and_defaults(self, two_scenario_file, monkeypatch):
+        seen = self._capture(monkeypatch, cli_mod, "solve_cvar")
+        main(["solve", two_scenario_file, "--method", "cvar", *self._argv(TOLERANCE_FLAGS)])
+        main(["solve", two_scenario_file, "--method", "cvar"])
+        assert seen == [self._want(TOLERANCE_FLAGS), Tolerances()]
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_flags_listed_in_field_order(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        positions = [usage.index(flag + " ") for flag in TOLERANCE_FLAGS]
+        assert positions == sorted(positions)
+
+    def test_sweep_reads_alpha_max(self, two_scenario_file, monkeypatch):
+        seen = self._capture(monkeypatch, cli_mod, "solve_scaled_cvar")
+        rc = main(["sweep", two_scenario_file, "--scenario", "2", "--grid", "1",
+                   "--alpha-max", "77"])
+        assert rc == 2
+        assert seen == [Tolerances(alpha_max=77.0)]
+
+    @pytest.mark.parametrize("flag", [f for f in TOLERANCE_FLAGS if f != "--alpha-max"])
+    def test_sweep_rejects_the_flags_it_ignores(self, flag, two_scenario_file):
+        # e.g. sweep --delta1 1: argparse exits 2 on an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", two_scenario_file, "--scenario", "2", "--grid", "1", flag, "1"])
+        assert exc.value.code == 2
+
+
+class TestPruneEta:
+    def test_alg1_keeps_pinned_factors(self, tmp_path):
+        from tests.test_acceptance import _mixed_instance
+
+        # on corpus instance 16 the unpinned run from the plain CVaR point
+        # scales two scenarios whose cost floor exceeds its incumbent; the
+        # command pins those two, as computed here
+        inst = _mixed_instance(16)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        probe = scaling_heuristic(inst, solve_cvar(inst).x)
+        mask = pin_alpha_mask(scenario_cost_floors(inst), probe.incumbent.objective)
+        assert mask.sum() == 2
+        assert any(np.any(r.alpha[mask] != 1.0) for r in probe.records)
+        out, trace = tmp_path / "sol.json", tmp_path / "trace.json"
+        rc = main(["solve", str(path), "--method", "alg1", "--prune-eta",
+                   "-o", str(out), "--trace-file", str(trace)])
+        assert rc == 0
+        doc, tdoc = json.loads(out.read_text()), json.loads(trace.read_text())
+        assert doc["status"] == "optimal"
+        assert doc["objective"] <= tdoc["incumbent"]["objective"] + 1e-9
+        for alpha in [doc["alpha"]] + [r["alpha"] for r in tdoc["records"]]:
+            assert np.all(np.asarray(alpha)[mask] == 1.0)
 
 
 class TestSweepCommand:

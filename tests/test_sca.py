@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvarscale import ScalingVector, Tolerances, chance_feasible, g_max_all
-from cvarscale.conic import SocCone, SocpSpec, SolveStatus, solve_socp
+from cvarscale.conic import SocCone, SocpSpec, SolveStatus, ipm, solve_socp
 from cvarscale.cvar import solve_cvar, solve_scaled_cvar
 from cvarscale.sca import (
     SquareTangent,
@@ -217,8 +217,8 @@ class TestSubproblemArrays:
 
         solved = []
 
-        def recording(spec, tol):
-            res = solve_socp(spec, tol)
+        def recording(spec):
+            res = solve_socp(spec)
             solved.append((spec, res.z))
             return res
 
@@ -294,10 +294,11 @@ class TestSubproblem:
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective <= 2.0 + 1e-7
 
-    def test_matches_grid_oracle(self, step_line):
+    def test_matches_grid_oracle(self, step_line, monkeypatch):
+        monkeypatch.setattr(ipm, "_FEAS_TOL", 1e-10)
         x_k, alpha_k = np.array([2.0]), np.array([1.0, 1.0])
         spec = build_dc_subproblem(step_line, x_k, alpha_k, [0, 1])
-        res = solve_socp(spec, 1e-10)
+        res = solve_socp(spec)
         assert res.status == SolveStatus.OPTIMAL
         oracle = subproblem_line_oracle(step_line, x_k, alpha_k, x_lo=0.0, x_hi=2.0)
         assert res.objective == pytest.approx(oracle, abs=1e-5)
@@ -375,17 +376,19 @@ class TestHybridLoop:
 
 
 def _instance_2_subproblems(monkeypatch):
-    """The (spec, result) pairs of the plain loop on corpus instance 2."""
+    """The (spec, result) pairs of the plain loop on corpus instance 2, with
+    the cone solver at 1e-9."""
     import cvarscale.sca as sca_mod
     from tests.test_acceptance import RUN_TOL, _mixed_instance
 
     solved = []
 
-    def recording(spec, tol):
-        res = solve_socp(spec, tol)
+    def recording(spec):
+        res = solve_socp(spec)
         solved.append((spec, res))
         return res
 
+    monkeypatch.setattr(ipm, "_FEAS_TOL", 1e-9)
     monkeypatch.setattr(sca_mod, "solve_socp", recording)
     inst = _mixed_instance(2)
     sequential_convex(inst, solve_cvar(inst, RUN_TOL).x, RUN_TOL)
@@ -394,7 +397,7 @@ def _instance_2_subproblems(monkeypatch):
 
 def test_subproblems_end_optimal(monkeypatch):
     # these subproblems used to stop on the interior-point stall rule just
-    # short of the 1e-9 inner tolerance, when the ridge on the normal
+    # short of a 1e-9 tolerance, when the ridge on the normal
     # equations followed their mean diagonal instead of each entry
     solved = _instance_2_subproblems(monkeypatch)
     assert len(solved) > 5
@@ -405,8 +408,9 @@ def test_stalled_subproblem_reports_iterations_run(monkeypatch):
     # a subproblem asked for a tolerance no double-precision solve reaches
     # stops on the stall rule; it must report the iterations it ran, not the
     # 200-iteration cap
-    stalled = [res for res in (solve_socp(spec, 1e-16)
-                               for spec, _ in _instance_2_subproblems(monkeypatch)[:3])
+    specs = [spec for spec, _ in _instance_2_subproblems(monkeypatch)[:3]]
+    monkeypatch.setattr(ipm, "_FEAS_TOL", 1e-16)
+    stalled = [res for res in map(solve_socp, specs)
                if res.status == SolveStatus.ITERATION_LIMIT]
     assert stalled
     assert all(8 <= r.iterations < 200 for r in stalled)
