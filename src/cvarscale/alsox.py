@@ -5,8 +5,9 @@ Bisection maintains a budget interval [t_L, t_U].  At each midpoint t the
 
     eps * beta + sum_i p_i [ worst_row_i(x) - beta ]_+      s.t.  c.x <= t
 
-over the domain.  If the minimizer is chance-feasible the budget is provable,
-so t_U drops to t; otherwise t_L rises to t.  The scaled variant gets a second
+over the domain.  If the minimizer is chance-feasible, with the rows of its
+satisfied scenarios held to the LPs' accuracy, the budget is provable, so t_U
+drops to t; otherwise t_L rises to t.  The scaled variant gets a second
 chance on failed budgets: it reruns the scaling heuristic on the
 budget-restricted instance, which can certify budgets the plain check misses.
 """
@@ -26,6 +27,11 @@ from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible, with_ex
 from .scaling import scaling_heuristic
 
 __all__ = ["BisectionStep", "BisectionReport", "lower_level", "alsox_sharp", "alsox_sharp_scaled"]
+
+# Rows of the scenarios a certified point satisfies must hold to the accuracy
+# of the LPs that produced it.  Counted as satisfied up to feas_tol, a row at
+# +6e-7 let a budget through that lies up to 6e-5 below the exact optimum.
+_ROW_ACCURACY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,11 @@ def lower_level(instance: CcpInstance, t: float) -> tuple[np.ndarray, float, flo
     return sol.x, sol.beta, float(sol.objective)
 
 
+def _certifies(instance: CcpInstance, x: np.ndarray, tol: Tolerances) -> bool:
+    """True when x is chance-feasible with its satisfied rows at the LP's accuracy."""
+    return chance_feasible(instance, x, min(tol.feas_tol, _ROW_ACCURACY))
+
+
 def _default_t_lower(instance: CcpInstance) -> float:
     """Cost minimum over the domain alone; a valid lower bound on the optimum."""
     res = solve_lp(_domain_lp(instance, instance.c))
@@ -114,14 +125,14 @@ def _bisect(
     # the initial upper bound comes from a feasible method; its lower-level
     # solution provides the starting incumbent
     x0, _, v0 = lower_level(instance, t_upper)
-    if chance_feasible(instance, x0, tol.feas_tol):
+    if _certifies(instance, x0, tol):
         report.x = x0
         report.objective = float(instance.c @ x0)
 
     while t_upper - t_lower > delta_A:
         t = (t_lower + t_upper) / 2.0
         x, _, value = lower_level(instance, t)
-        feasible = chance_feasible(instance, x, tol.feas_tol)
+        feasible = _certifies(instance, x, tol)
         rescued = False
         if not feasible and rescue is not None:
             rx = rescue(t, x, report.x)
@@ -188,7 +199,7 @@ def alsox_sharp_scaled(
                 continue
             inc = trace.incumbent
             on_budget = float(instance.c @ inc.x) <= t + 1e-9
-            if inc.k > 0 and on_budget and chance_feasible(instance, inc.x, tol.feas_tol):
+            if inc.k > 0 and on_budget and _certifies(instance, inc.x, tol):
                 return inc.x
         return None
 

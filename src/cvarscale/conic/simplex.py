@@ -6,16 +6,22 @@ together with a verified Farkas certificate, and optimal bases are certified
 by a duality-gap check (re-solved once under Bland's rule when certification
 fails).  Dantzig pricing is used until a run of degenerate pivots exceeds
 ``10 * (rows + cols)``, after which Bland's rule takes over to guarantee
-termination.
+termination.  The duals of either check are read off an objective row: the
+slack column of row i has reduced cost -y_i times its entry in that row.
 
-An optimal result carries its basis.  Passed back with the same LP after rows
-were appended to ``A``, it warm-starts the solve: the new rows' slacks join
-the basis, which stays dual feasible, and dual simplex pivots restore primal
-feasibility under the same pricing and Bland switch.  The answer is certified
-as a cold one is, and a dual row without a negative entry is checked as a
-Farkas ray before INFEASIBLE is returned.  Anything else (a pivot cap, a
-singular basis, a failed certificate) falls back to the cold two-phase solve.
-The hinge-cut master in ``cvar`` uses this between separation rounds.
+An optimal result privately carries its tableau: B^-1 [As | bs] of the
+equilibrated standard form, the objective row and the map back to z.  Passed
+back as ``warm`` with the same LP after rows were appended to ``A``, it
+resumes the solve.  Only the new rows are written in standard form and
+equilibrated; their basic columns are eliminated with one product against the
+old tableau rows, their slacks join the basis, which stays dual feasible, and
+dual simplex pivots restore primal feasibility under the same pricing and
+Bland switch (Koberstein, "The dual simplex method, techniques for a fast and
+stable implementation", 2005).  The answer is certified as a cold one is, and
+a dual row without a negative entry is checked as a Farkas ray before
+INFEASIBLE is returned.  Anything else (a carrier of another LP, a pivot cap,
+a failed certificate) falls back to the cold two-phase solve.  The hinge-cut
+master in ``cvar`` uses this between separation rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .types import LinearProgramSpec, SolveResult, SolveStatus
 
@@ -32,7 +37,6 @@ __all__ = ["solve_lp"]
 _PIV_TOL = 1e-9
 _RATIO_TIE = 1e-9
 _PHASE1_TOL = 1e-7
-_GESV = get_lapack_funcs("gesv", (np.zeros((1, 1)),))
 
 
 @dataclass
@@ -60,6 +64,20 @@ class _StandardForm:
         z[self.split] = w[pos] - w[pos + 1]
         return z
 
+    def rows(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows A z <= b appended to (As, bs), with a new slack column each."""
+        ncols = self.As.shape[1]
+        R = np.zeros((A.shape[0], ncols + A.shape[0]))
+        _write_rows(R, A, self.col, self.sign, self.split)
+        np.fill_diagonal(R[:, ncols:], 1.0)
+        return R, b - A @ self.shift
+
+
+def _write_rows(out: np.ndarray, A: np.ndarray, col, sign, split) -> None:
+    """Write the rows of A over z into ``out`` over the shifted columns w."""
+    out[:, col] = A * sign + 0.0
+    out[:, col[split] + 1] = 0.0 - A[:, split]
+
 
 def _to_standard_form(spec: LinearProgramSpec) -> _StandardForm:
     """Shift/flip/split variables to w >= 0 and append one slack per row."""
@@ -77,15 +95,13 @@ def _to_standard_form(spec: LinearProgramSpec) -> _StandardForm:
     As = np.zeros((m, nw + m))
     bs = np.empty(m)
     bs[nb:] = spec.b - spec.A @ shift
-    As[nb:, col] = spec.A * sign + 0.0
+    _write_rows(As[nb:], spec.A, col, sign, split)
     As[np.arange(nb), col[boxed]] = 1.0
     bs[:nb] = spec.ub[boxed] - spec.lb[boxed]
     np.fill_diagonal(As[:, nw:], 1.0)
     cs = np.zeros(nw + m)
     cs[col] = spec.c * sign
-    if nw > spec.n:
-        As[nb:, col[split] + 1] = 0.0 - spec.A[:, split]
-        cs[col[split] + 1] = -spec.c[split]
+    cs[col[split] + 1] = -spec.c[split]
     return _StandardForm(As=As, bs=bs, cs=cs, col=col, shift=shift, sign=sign, split=split)
 
 
@@ -193,43 +209,59 @@ def _primal_residual(spec: LinearProgramSpec, z: np.ndarray) -> float:
     return res
 
 
-def _equilibrate(sf: _StandardForm) -> tuple[np.ndarray, np.ndarray]:
+def _equilibrate(As: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row equilibration keeps phase-1 tolerances meaningful across magnitudes."""
-    row_scale = np.maximum(1.0, np.max(np.abs(sf.As), axis=1))
-    return sf.As / row_scale[:, None], sf.bs / row_scale
+    row_scale = np.maximum(1.0, np.max(np.abs(As), axis=1))
+    return As / row_scale[:, None], bs / row_scale
 
 
 def _is_farkas_ray(As: np.ndarray, bs: np.ndarray, y: np.ndarray, gain: float) -> bool:
     """y.As <= 0 and y.bs >= gain > 0 prove {As w = bs, w >= 0} empty."""
-    return float(np.max(As.T @ y)) <= 1e-7 and float(bs @ y) >= gain
+    return float(np.max(y @ As)) <= 1e-7 and float(bs @ y) >= gain
 
 
-def _finish(spec, sf, As, bs, T, basis, pivots) -> SolveResult:
-    """Read z off an optimal tableau and certify it against the system (As, bs)."""
-    nw = sf.As.shape[1]
+def _row_duals(T: np.ndarray, row: int, As: np.ndarray) -> np.ndarray:
+    """y with T[row, slack_i] = -y_i As[i, slack_i], the slacks being As's last columns."""
+    m, ncols = As.shape
+    return -T[row, ncols - m:ncols] / np.diagonal(As, ncols - m)
+
+
+@dataclass(frozen=True)
+class _Tableau:
+    """An optimal tableau and what it takes to append rows to its LP.
+
+    ``sf`` holds the equilibrated system (As, bs), m rows by ncols columns.
+    Over the first ncols columns and the last one, T[:m] is B^-1 [As | bs]
+    and T[m] the objective row: reduced costs, then minus the objective.  A
+    cold tableau keeps its artificial columns and phase-1 row, which are not
+    read, and the rows whose slack stayed basic keep the factor 1 / row scale.
+    """
+
+    spec: LinearProgramSpec
+    sf: _StandardForm
+    T: np.ndarray
+    basis: np.ndarray
+
+
+def _finish(spec, sf, T, basis, pivots) -> SolveResult:
+    """Read z off an optimal tableau and certify it against the system (sf.As, sf.bs)."""
+    m, ncols = sf.As.shape
     w = np.zeros(T.shape[1] - 1)
     w[basis] = T[:basis.size, -1]
+    w = w[:ncols]
     z = sf.z_of(w)
     objective = float(spec.c @ z)
 
-    # certify optimality: basis duals of the (scaled, surviving) standard system
-    dual_res = gap = np.inf
-    if not np.any(basis >= nw):
-        try:
-            y = np.linalg.solve(As[:, basis].T, sf.cs[basis])
-            reduced = sf.cs - As.T @ y
-            dual_res = max(0.0, float(-reduced.min()))
-            gap = abs(float(sf.cs @ w[:nw]) - float(bs @ y))
-        except np.linalg.LinAlgError:
-            pass
-
+    y = _row_duals(T, basis.size, sf.As)
+    dual_res = max(0.0, float(-(sf.cs - y @ sf.As).min()))
+    gap = abs(float(sf.cs @ w) - float(sf.bs @ y))
     primal_res = _primal_residual(spec, z)
     scale = 1.0 + abs(objective)
     status = SolveStatus.OPTIMAL
-    if gap > 1e-6 * scale or dual_res > 1e-6 or primal_res > 1e-6 * scale:
+    if not (gap <= 1e-6 * scale and dual_res <= 1e-6 and primal_res <= 1e-6 * scale):
         status = SolveStatus.NUMERICAL_ERROR
     # a basis that lost a redundant row cannot be resumed
-    resumable = status == SolveStatus.OPTIMAL and basis.size == sf.bs.size
+    resumable = status == SolveStatus.OPTIMAL and basis.size == m
     return SolveResult(
         status=status,
         z=z,
@@ -238,7 +270,7 @@ def _finish(spec, sf, As, bs, T, basis, pivots) -> SolveResult:
         dual_residual=dual_res,
         duality_gap=gap,
         iterations=pivots,
-        basis=basis.copy() if resumable else None,
+        _tableau=_Tableau(spec, sf, T, basis) if resumable else None,
     )
 
 
@@ -248,17 +280,15 @@ def _solve_once(spec: LinearProgramSpec, start_bland: bool) -> SolveResult:
     sf = _to_standard_form(spec)
     m, nw = sf.As.shape
 
-    As, bs = _equilibrate(sf)
-    neg = bs < 0
-    As[neg] *= -1.0
-    bs[neg] *= -1.0
-
-    art_rows = np.flatnonzero(neg)
+    As, bs = _equilibrate(sf.As, sf.bs)
+    sf = replace(sf, As=As, bs=bs)
+    art_rows = np.flatnonzero(bs < 0)
     n_art = art_rows.size
     ncols = nw + n_art
     T = np.zeros((m + 2, ncols + 1))
     T[:m, :nw] = As
     T[:m, -1] = bs
+    T[art_rows] *= -1.0
     T[art_rows, nw + np.arange(n_art)] = 1.0
     basis = np.arange(nw - m, nw)  # slack columns, whose cost is zero
     basis[art_rows] = nw + np.arange(n_art)
@@ -274,7 +304,6 @@ def _solve_once(spec: LinearProgramSpec, start_bland: bool) -> SolveResult:
     max_pivots = 20000 + 200 * (m + ncols)
     total_pivots = 0
 
-    keep_rows = np.arange(m)
     if n_art:
         out, piv = _run_simplex(T, basis, m, P1, allowed, bland_threshold, max_pivots, start_bland)
         total_pivots += piv
@@ -282,16 +311,7 @@ def _solve_once(spec: LinearProgramSpec, start_bland: bool) -> SolveResult:
             return _fail(SolveStatus.ITERATION_LIMIT, total_pivots)
         phase1_obj = -T[P1, -1]
         if phase1_obj > _PHASE1_TOL:
-            art_cols = np.zeros((m, n_art))
-            art_cols[art_rows, np.arange(n_art)] = 1.0
-            A_ph1 = np.hstack([As, art_cols])
-            c1 = np.zeros(ncols)
-            c1[nw:] = 1.0
-            try:
-                y = np.linalg.solve(A_ph1[:, basis].T, c1[basis])
-            except np.linalg.LinAlgError:
-                return _fail(SolveStatus.NUMERICAL_ERROR, total_pivots)
-            if _is_farkas_ray(As, bs, y, 0.5 * phase1_obj):
+            if _is_farkas_ray(As, bs, _row_duals(T, P1, As), 0.5 * phase1_obj):
                 return _fail(SolveStatus.INFEASIBLE, total_pivots)
             return _fail(SolveStatus.NUMERICAL_ERROR, total_pivots)
         drop = []
@@ -315,83 +335,90 @@ def _solve_once(spec: LinearProgramSpec, start_bland: bool) -> SolveResult:
         return _fail(SolveStatus.ITERATION_LIMIT, total_pivots)
     if out == "unbounded":
         return _fail(SolveStatus.UNBOUNDED, total_pivots)
-    return _finish(spec, sf, As[keep_rows], bs[keep_rows], T, basis, total_pivots)
+    return _finish(spec, sf, T, basis, total_pivots)
 
 
-def _resume(spec: LinearProgramSpec, basis: np.ndarray) -> tuple[SolveResult | None, int]:
-    """Dual simplex from ``basis``, optimal for the LP made of the leading rows of A.
+def _same_lp(spec: LinearProgramSpec, done: LinearProgramSpec) -> bool:
+    """True when ``spec`` is the LP ``done`` with zero or more rows appended to A."""
+    m = done.A.shape[0]
+    return (spec.A.shape[0] >= m and np.array_equal(spec.c, done.c)
+            and np.array_equal(spec.lb, done.lb) and np.array_equal(spec.ub, done.ub)
+            and np.array_equal(spec.A[:m], done.A) and np.array_equal(spec.b[:m], done.b))
+
+
+def _append_rows(tab: _Tableau, spec: LinearProgramSpec) -> _Tableau:
+    """The tableau of ``tab`` with the rows ``spec`` appends, their slacks basic.
+
+    The new rows are written in standard form and equilibrated on their own;
+    the old rows keep their scales.  A new tableau row is the standard row
+    less its basic columns, eliminated against the old rows in one product.
+    """
+    sf, old = tab.sf, tab.T
+    m, ncols = sf.As.shape
+    m_old = tab.spec.A.shape[0]
+    R, r = sf.rows(spec.A[m_old:], spec.b[m_old:])
+    k = R.shape[0]
+    Rs, rs = _equilibrate(R, r)
+    As = np.zeros((m + k, ncols + k))
+    As[:m, :ncols] = sf.As
+    As[m:] = Rs
+
+    # a row whose slack has been basic since the cold start still reads
+    # 1 / row scale in that column; scale it to the unit row of B^-1
+    unit = old[np.arange(m), tab.basis][:, None]
+    T = np.zeros((m + k + 1, ncols + k + 1))
+    T[:m, :ncols] = old[:m, :ncols] / unit
+    T[:m, -1:] = old[:m, -1:] / unit
+    T[m:-1, :-1] = R
+    T[m:-1, -1] = r
+    T[m:-1] -= T[m:-1, tab.basis] @ T[:m]
+    T[-1, :ncols] = old[m, :ncols]
+    T[-1, -1] = old[m, -1]
+    sf = replace(sf, As=As, bs=np.concatenate([sf.bs, rs]), cs=np.append(sf.cs, np.zeros(k)))
+    return _Tableau(spec, sf, T, np.concatenate([tab.basis, np.arange(ncols, ncols + k)]))
+
+
+def _warm_solve(spec: LinearProgramSpec, tab: _Tableau) -> tuple[SolveResult | None, int]:
+    """Dual simplex from ``tab`` once ``spec`` appended its rows.
 
     Returns the result and the pivots spent; the result is None when the warm
     start cannot certify an answer and the cold solve has to decide.
     """
-    if np.any(spec.lb > spec.ub):
+    if not _same_lp(spec, tab.spec):
         return None, 0
-    sf = _to_standard_form(spec)
-    m, ncols = sf.As.shape
-    first_new = ncols - m + basis.size  # slack column of the first appended row
-    if m == 0 or basis.size > m or np.any((basis < 0) | (basis >= first_new)):
-        return None, 0
-    basis = np.concatenate([basis, np.arange(first_new, ncols)])
-
-    # B^-1 [As | bs] on the nonbasic columns and the right-hand side, by
-    # blocks: the rows whose slack is nonbasic fix the structural basics, the
-    # others follow by substitution.  A row with a huge right-hand side (the
-    # 1e9 beta floor) then stays out of the solve.
-    As, bs = _equilibrate(sf)
-    struct = basis < ncols - m
-    jb = basis[struct]
-    slack_rows = basis[~struct] - (ncols - m)
-    tight = np.ones(m, dtype=bool)
-    tight[slack_rows] = False
-    if np.count_nonzero(tight) != jb.size:  # a repeated slack: not a basis
-        return None, 0
-    nonbasic = np.ones(ncols + 1, dtype=bool)  # the last column is the right-hand side
-    nonbasic[basis] = False
-    cols = np.flatnonzero(nonbasic)
-    M = np.column_stack([As, bs])[:, cols]
-    _, _, top, info = _GESV(As[tight][:, jb], M[tight])
-    if info != 0:
-        return None, 0
-    T = np.zeros((m + 1, ncols + 1))
-    T[np.arange(m), basis] = 1.0
-    T[np.flatnonzero(struct)[:, None], cols] = top
-    slack_coef = As[slack_rows, basis[~struct]]  # 1 / row scale
-    T[np.flatnonzero(~struct)[:, None], cols] = (
-        (M[slack_rows] - As[slack_rows][:, jb] @ top) / slack_coef[:, None])
-    T[m, cols] = np.append(sf.cs, 0.0)[cols] - sf.cs[jb] @ top
+    tab = _append_rows(tab, spec)
+    T, basis, As = tab.T, tab.basis, tab.sf.As
+    m, ncols = As.shape
     if T[m, :-1].min() < -1e-6:  # not dual feasible by the certificate's threshold
         return None, 0
     np.maximum(T[m, :-1], 0.0, out=T[m, :-1])
 
-    out, pivots, r = _run_dual_simplex(T, basis, m, 10 * (m + ncols),
-                                       20000 + 200 * (m + ncols))
+    out, pivots, r = _run_dual_simplex(T, basis, m, 10 * (m + ncols), 20000 + 200 * (m + ncols))
     if out == "infeasible":
-        # row r reads u.As >= 0 with u.bs < 0 for u = B^-T e_r; -u is a Farkas ray
-        try:
-            u = np.linalg.solve(As[:, basis].T, np.eye(m)[r])
-        except np.linalg.LinAlgError:
-            return None, pivots
-        size = float(np.abs(u).max())
-        if _is_farkas_ray(As, bs, -u / size, max(_PHASE1_TOL, -0.5 * T[r, -1] / size)):
+        # row r reads u.As >= 0 with u.bs < 0 for u = B^-T e_r; y = -u is a Farkas ray
+        y = _row_duals(T, r, As)
+        size = float(np.abs(y).max())
+        if _is_farkas_ray(As, tab.sf.bs, y / size, max(_PHASE1_TOL, -0.5 * T[r, -1] / size)):
             return _fail(SolveStatus.INFEASIBLE, pivots), pivots
         return None, pivots
     if out != "optimal":
         return None, pivots
     np.maximum(T[:m, -1], 0.0, out=T[:m, -1])
-    res = _finish(spec, sf, As, bs, T, basis, pivots)
+    res = _finish(spec, tab.sf, T, basis, pivots)
     return (res if res.status == SolveStatus.OPTIMAL else None), pivots
 
 
-def solve_lp(spec: LinearProgramSpec, *, basis=None) -> SolveResult:
+def solve_lp(spec: LinearProgramSpec, *, warm: SolveResult | None = None) -> SolveResult:
     """Solve the LP; re-solve once under Bland's rule if certification fails.
 
-    ``basis`` is the ``SolveResult.basis`` of an earlier solve of the same LP
-    with fewer rows in ``A``; the solve then resumes from it by dual simplex
-    pivots and falls back to the cold solve if that fails.
+    ``warm`` is an earlier result of the same LP with fewer (or as many) rows
+    in ``A``; the arrays of its spec must not have been changed in place
+    since.  If it is optimal, the solve resumes from its tableau by dual
+    simplex pivots, and falls back to the cold solve if that fails.
     """
     warm_pivots = 0
-    if basis is not None:
-        res, warm_pivots = _resume(spec, np.asarray(basis))
+    if warm is not None and warm._tableau is not None:
+        res, warm_pivots = _warm_solve(spec, warm._tableau)
         if res is not None:
             return res
     res = _solve_once(spec, start_bland=False)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,9 @@ class SolveResult:
     dual_residual: float
     duality_gap: float
     iterations: int
-    # simplex only: the optimal basis as standard-form column indices, which
-    # warm-starts a later solve of the same LP with rows appended to A
-    basis: np.ndarray | None = None
+    # simplex only: the optimal tableau, which warm-starts a later solve of
+    # the same LP with rows appended to A (see ``solve_lp``'s ``warm``)
+    _tableau: object = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:

@@ -239,10 +239,13 @@ def _solve_by_cuts(
     box.  Each round separates the cut of S = {loss > beta} at the master
     optimum and adds it with the cuts of the top-k tail sets around the
     value-at-risk; the loop stops once that cut is already held or violated by
-    at most 1e-9 (1 + |theta|).  Every cut is implied by the explicit rows, so
+    at most 1e-9 (1 + |theta|).  New cuts are appended to the master's rows,
+    so each round after the first resumes on the last optimal tableau: the
+    cut rows are eliminated against it and a few dual simplex pivots follow
+    (``solve_lp``'s ``warm``).  Every cut is implied by the explicit rows, so
     an infeasible master proves the surrogate infeasible.  An unbounded master
-    is boxed and separation goes on; if the box still binds at the end the
-    explicit LP decides, so UNBOUNDED comes only from it.
+    is boxed, solved cold, and separation goes on; if the box still binds at
+    the end the explicit LP decides, so UNBOUNDED comes only from it.
     """
     n, N = instance.n, instance.N
     p, eps, dom = instance.probs, instance.epsilon, instance.domain
@@ -261,12 +264,11 @@ def _solve_by_cuts(
     aW, ad, _ = _worst_rows(instance, alpha, np.clip(np.zeros(n), dom.lb, dom.ub))
     hold(*_hinge_cut(p, aW, ad, np.arange(N)))
     boxed = None
-    basis = None  # new cuts are appended, so each round resumes from the last basis
+    res = None  # new cuts are appended, so each round resumes from the last tableau
     while True:
         A = np.vstack([head, *(row for row, _ in cuts.values())])
         b = np.concatenate([head_rhs, [r for _, r in cuts.values()]])
-        res = solve_lp(LinearProgramSpec(c=c, A=A, b=b, lb=lb, ub=ub), basis=basis)
-        basis = res.basis
+        res = solve_lp(LinearProgramSpec(c=c, A=A, b=b, lb=lb, ub=ub), warm=res)
         if res.status == SolveStatus.UNBOUNDED and boxed is None:
             open_lb, open_ub = ~np.isfinite(dom.lb), ~np.isfinite(dom.ub)
             centre = np.where(open_lb, np.where(open_ub, 0.0, dom.ub), dom.lb)

@@ -53,7 +53,8 @@ class Corpus:
     method_seconds: float = 0.0
 
 
-def _mixed_instance(seed: int):
+def _mixed_instance(seed: int, data_seed: int | None = None):
+    """Corpus instance ``seed``; ``data_seed`` re-draws its data in the same shape."""
     fam = "portfolio" if seed % 2 == 0 else "covering"
     r = np.random.default_rng(seed ^ 0xABCD)
     cfg = GeneratorConfig(
@@ -62,7 +63,7 @@ def _mixed_instance(seed: int):
         N=int(r.integers(8, 13)),
         J=1 if fam == "portfolio" else int(r.integers(1, 4)),
         epsilon=float(r.choice([0.200333, 0.300333])),
-        seed=seed,
+        seed=seed if data_seed is None else data_seed,
         budget_fraction=0.6,
         cost_range=(-5, 10) if fam == "covering" else (1, 100),
     )

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cvarscale import chance_feasible
+from cvarscale import Tolerances, chance_feasible, g_max_all
 from cvarscale.alsox import alsox_sharp, alsox_sharp_scaled, lower_level
 from cvarscale.errors import InfeasibleProblem
 from cvarscale.exact import brute_force_optimal
 from tests.conftest import single_row_instance
+from tests.test_acceptance import _mixed_instance
 from tests.test_scaling import small_corpus
 
 
@@ -102,3 +103,23 @@ class TestScaledBisection:
         assert scaled.t_upper <= plain.t_upper + 1e-9
         if any(s.rescued for s in scaled.steps):
             assert scaled.t_upper < plain.t_upper - 1e-9
+
+
+# (corpus shape, data seed): portfolio instances whose lower-level minimizer
+# at some budget left one satisfied row at +2.7e-7 to +7.2e-7, inside
+# feas_tol; certifying such a budget put alsox 9e-6 to 6e-5 below v*
+MARGIN_CASES = [(30, 10030), (2, 59002), (26, 74026), (14, 124014), (14, 131014),
+                (8, 160008), (20, 178020)]
+
+
+@pytest.mark.parametrize("shape, seed", MARGIN_CASES)
+def test_certified_budgets_stay_above_the_optimum(shape, seed):
+    inst = _mixed_instance(shape, seed)
+    tol = Tolerances(delta2=0.0, max_iter=10)
+    v_star = brute_force_optimal(inst, tol=tol).v_star
+    for run in (alsox_sharp, alsox_sharp_scaled):
+        rep = run(inst, tol=tol)
+        assert rep.objective >= v_star - 1e-9, run.__name__
+        worst = g_max_all(inst, rep.x)
+        assert chance_feasible(inst, rep.x, 1e-9)
+        assert np.all((worst <= 1e-9) | (worst > tol.feas_tol))

@@ -1,5 +1,7 @@
 """Embedded solvers: simplex LP and interior-point SOCP."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,15 +161,15 @@ def test_standard_form_matches_loop_reference(seed):
 
 
 class TestSimplexResume:
-    """A solve resumed from an earlier optimal basis against a cold solve."""
+    """A solve resumed from an earlier optimal tableau against a cold solve."""
 
     def resume(self, spec0, A_new, b_new):
         """(resumed, cold) results on spec0 with rows appended; the resume must
         not fall back to the cold path."""
         first = solve_lp(spec0)
-        assert first.status == SolveStatus.OPTIMAL and first.basis is not None
+        assert first.status == SolveStatus.OPTIMAL and first._tableau is not None
         spec = appended(spec0, A_new, b_new)
-        warm, pivots = simplex._resume(spec, first.basis)
+        warm, pivots = simplex._warm_solve(spec, first._tableau)
         assert warm is not None, "resume fell back to the cold solve"
         assert warm.iterations == pivots
         cold = solve_lp(spec)
@@ -175,7 +177,7 @@ class TestSimplexResume:
         if cold.status == SolveStatus.OPTIMAL:
             assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
             assert warm.primal_residual <= 1e-9 * (1.0 + abs(cold.objective))
-            again = solve_lp(spec, basis=first.basis)
+            again = solve_lp(spec, warm=first)
             assert again.iterations == warm.iterations
             assert np.array_equal(again.z, warm.z) and again.objective == warm.objective
         return warm, cold
@@ -211,7 +213,7 @@ class TestSimplexResume:
         spec = lp([1.0, 1.0], A=[[-1.0, -1.0], [-1.0, -2.0]], b=[-1.0, -1.5],
                   lb=[0.0, 0.0], ub=[FREE, FREE])
         first = solve_lp(spec)
-        assert first.status == SolveStatus.OPTIMAL and first.basis is not None
+        assert first.status == SolveStatus.OPTIMAL and first._tableau is not None
         warm, cold = self.resume(spec, [[0.0, -1.0], [-1.0, 0.0]], [-0.8, -0.6])
         assert cold.objective == pytest.approx(1.4)
 
@@ -237,20 +239,97 @@ class TestSimplexResume:
         # the status rests on the Farkas check: without it the cold path decides
         first = solve_lp(spec)
         monkeypatch.setattr(simplex, "_is_farkas_ray", lambda *args: False)
-        assert simplex._resume(appended(spec, rows, rhs), first.basis)[0] is None
+        assert simplex._warm_solve(appended(spec, rows, rhs), first._tableau)[0] is None
 
-    def test_foreign_basis_falls_back(self):
+    def test_foreign_carrier_falls_back(self):
         spec = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
                   lb=[0.0, 0.0], ub=[FREE, FREE])
         longer = appended(spec, [[1.0, 1.0]], [2.5])
-        basis = solve_lp(longer).basis
-        assert simplex._resume(spec, basis)[0] is None  # more basics than rows
-        assert simplex._resume(longer, -1 - solve_lp(spec).basis)[0] is None
-        assert solve_lp(spec, basis=basis).objective == pytest.approx(solve_lp(spec).objective)
+        res = solve_lp(longer)
+        assert simplex._warm_solve(spec, res._tableau)[0] is None  # more rows than the LP
+        # another objective, other bounds, or an old row edited (a stale carrier)
+        other = [LinearProgramSpec(c=[-1.0, -2.0], A=spec.A, b=spec.b, lb=spec.lb, ub=spec.ub),
+                 LinearProgramSpec(c=spec.c, A=spec.A, b=spec.b, lb=spec.lb, ub=[1.0, FREE]),
+                 LinearProgramSpec(c=spec.c, A=spec.A, b=[4.0, 5.0], lb=spec.lb, ub=spec.ub)]
+        for changed in other:
+            carrier = solve_lp(changed)._tableau
+            assert simplex._warm_solve(longer, carrier)[0] is None
+            assert solve_lp(longer, warm=solve_lp(changed)).objective == \
+                pytest.approx(res.objective)
+        assert solve_lp(spec, warm=res).objective == pytest.approx(solve_lp(spec).objective)
 
-    def test_basis_only_on_optimal_results(self):
-        assert solve_lp(lp([1.0], A=[[1.0]], b=[-1.0], lb=[0.0], ub=[FREE])).basis is None
-        assert solve_lp(lp([-1.0], lb=[0.0], ub=[FREE])).basis is None
+    def test_carrier_is_not_consumed(self):
+        # a result resumes any number of times, and each resume gives the same answer
+        spec = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
+                  lb=[0.0, 0.0], ub=[FREE, FREE])
+        first = solve_lp(spec)
+        T = first._tableau.T.copy()
+        a = solve_lp(appended(spec, [[1.0, 1.0]], [2.5]), warm=first)
+        solve_lp(appended(spec, [[1.0, 0.0]], [0.5]), warm=first)
+        b = solve_lp(appended(spec, [[1.0, 1.0]], [2.5]), warm=first)
+        assert np.array_equal(first._tableau.T, T)
+        assert np.array_equal(a.z, b.z) and a.iterations == b.iterations
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_appended_tableau_matches_a_fresh_one(self, seed):
+        # after k appended rows, and again after the dual pivots, the live
+        # tableau is B^-1 [As | bs] over the equilibrated standard form of the
+        # whole LP, with the objective row cs - cs_B B^-1 [As | bs]
+        rng = np.random.default_rng(200 + seed)
+        n = 6
+        A = np.vstack([np.eye(n), rng.normal(size=(5, n))])
+        b = np.concatenate([np.full(n, 4.0), rng.uniform(0.2, 1.0, size=5)])
+        spec0 = lp(rng.normal(size=n), A=A, b=b, lb=[-FREE, -FREE, 0.0, 0.0, -3.0, -3.0],
+                   ub=[FREE, 2.0, FREE, 5.0, 3.0, FREE])
+        first = solve_lp(spec0)
+        spec = appended(spec0, *cutting_rows(rng, spec0, first.z, 1 + seed))
+        grown = simplex._append_rows(first._tableau, spec)
+        res = solve_lp(spec, warm=first)
+        assert res.iterations > 0 and res._tableau is not None
+        for tab in (grown, res._tableau):
+            sf = simplex._to_standard_form(spec)
+            As, bs = simplex._equilibrate(sf.As, sf.bs)
+            m = As.shape[0]
+            assert np.allclose(tab.sf.As, As, rtol=0, atol=1e-15)
+            assert np.allclose(tab.sf.bs, bs, rtol=1e-15, atol=1e-15)
+            inv = np.linalg.inv(As[:, tab.basis])
+            fresh = inv @ np.column_stack([As, bs])
+            cost = np.append(sf.cs, 0.0) - sf.cs[tab.basis] @ fresh
+            live = np.vstack([tab.T[:m], tab.T[m]])
+            assert np.allclose(live, np.vstack([fresh, cost]), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("where", ["rhs", "costs"])
+    def test_drift_fails_certification_and_falls_back(self, monkeypatch, where):
+        # drift injected into the carried tableau: the certificate, computed
+        # from the equilibrated system, rejects the warm answer
+        spec0 = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
+                   lb=[0.0, 0.0], ub=[FREE, FREE])
+        spec = appended(spec0, [[1.0, 1.0]], [10.0])  # slack at the optimum: no pivot
+        first = solve_lp(spec0)
+        tab = first._tableau
+        T = tab.T.copy()
+        m = tab.basis.size
+        if where == "rhs":
+            T[:m, -1] *= 1.01
+        else:
+            T[m, :-1] = np.where(T[m, :-1] > 0, T[m, :-1] * 1.01, 0.0)
+        drifted = replace(first, _tableau=replace(tab, T=T))
+        cold_calls = []
+        solve_once = simplex._solve_once
+        monkeypatch.setattr(simplex, "_solve_once",
+                            lambda *a, **k: cold_calls.append(1) or solve_once(*a, **k))
+        warm, pivots = simplex._warm_solve(spec, drifted._tableau)
+        assert warm is None
+        res = solve_lp(spec, warm=drifted)
+        cold = solve_lp(spec)
+        assert len(cold_calls) == 2
+        assert pivots == 0 and np.array_equal(res.z, cold.z)
+        assert res.iterations == cold.iterations and res.status == SolveStatus.OPTIMAL
+        assert simplex._warm_solve(spec, first._tableau)[0] is not None  # undrifted
+
+    def test_tableau_only_on_optimal_results(self):
+        assert solve_lp(lp([1.0], A=[[1.0]], b=[-1.0], lb=[0.0], ub=[FREE]))._tableau is None
+        assert solve_lp(lp([-1.0], lb=[0.0], ub=[FREE]))._tableau is None
 
 
 class TestInteriorPoint:

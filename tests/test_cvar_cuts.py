@@ -11,10 +11,10 @@ against their construction before the shared row builders.
 import numpy as np
 import pytest
 
-from cvarscale import CcpInstance, Domain, Scenario
+from cvarscale import CcpInstance, Domain, Scenario, cvar
 from cvarscale.bench import GeneratorConfig, generate
 from cvarscale.alsox import _default_t_lower
-from cvarscale.conic import SolveStatus, solve_lp
+from cvarscale.conic import SolveStatus, simplex, solve_lp
 from cvarscale.cvar import _BETA_FLOOR, _head_rows, _solve_by_cuts, build_scaled_cvar_lp
 from tests.conftest import single_row_instance
 from tests.test_acceptance import _mixed_instance
@@ -140,6 +140,95 @@ def test_tie_at_n_eps():
     inst = CcpInstance(c=base.c, scenarios=scen, epsilon=0.25, domain=base.domain, name="ties")
     assert assert_agree(inst) == SolveStatus.OPTIMAL
     assert assert_agree(inst, budget=np.inf) == SolveStatus.OPTIMAL
+
+
+class MasterSpy:
+    """Counts cold solves, resumed rounds, Farkas checks and explicit-LP hand-overs."""
+
+    def __init__(self, monkeypatch):
+        self.cold, self.resumed, self.fell_back, self.rays, self.explicit = 0, 0, 0, [], 0
+        solve_once, warm_solve, is_ray = (simplex._solve_once, simplex._warm_solve,
+                                          simplex._is_farkas_ray)
+        solve_explicit = cvar._solve_explicit
+
+        def explicit(*args, **kwargs):
+            self.explicit += 1
+            return solve_explicit(*args, **kwargs)
+
+        def cold(*args, **kwargs):
+            self.cold += 1
+            return solve_once(*args, **kwargs)
+
+        def warm(*args, **kwargs):
+            res, pivots = warm_solve(*args, **kwargs)
+            self.resumed += 1
+            self.fell_back += res is None
+            return res, pivots
+
+        def ray(*args, **kwargs):
+            self.rays.append(is_ray(*args, **kwargs))
+            return self.rays[-1]
+
+        monkeypatch.setattr(simplex, "_solve_once", cold)
+        monkeypatch.setattr(simplex, "_warm_solve", warm)
+        monkeypatch.setattr(simplex, "_is_farkas_ray", ray)
+        monkeypatch.setattr(cvar, "_solve_explicit", explicit)
+
+
+def live_cases():
+    """lp-large and trend-mid shapes, and corpus shapes with J = 3."""
+    yield generate(GeneratorConfig(family="portfolio", n=20, N=200, epsilon=0.100333, seed=3))
+    yield generate(GeneratorConfig(family="covering", n=20, N=60, J=3, epsilon=0.100333, seed=4))
+    for eps in (0.100333, 0.300333):
+        yield generate(GeneratorConfig(family="portfolio", n=20, N=50, epsilon=eps, seed=5))
+    yield from (inst for inst in corpus_head(12) if inst.J == 3)
+
+
+@pytest.mark.parametrize("inst", list(live_cases()), ids=lambda inst: inst.name)
+def test_live_master_matches_oracle(monkeypatch, inst):
+    # each hinge solve makes one cold master solve; every later round resumes
+    # on the live tableau and certifies without falling back
+    spy = MasterSpy(monkeypatch)
+    plain = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N))).objective
+    floor = _default_t_lower(inst)
+    alpha = np.random.default_rng(inst.N).uniform(1.0, 10.0, size=inst.N)
+    for kwargs in ({}, {"alpha": alpha}, {"budget": plain}, {"budget": 0.5 * (plain + floor)},
+                   {"budget": np.inf}):
+        spy.cold = spy.explicit = 0
+        assert assert_agree(inst, **kwargs) == SolveStatus.OPTIMAL
+        # the oracle's solve is cold too, and so is a hand-over at a loose budget
+        assert spy.cold <= 2 + spy.explicit, kwargs
+    assert spy.resumed >= 5 and spy.fell_back == 0
+
+
+def test_live_master_infeasible_answers_carry_rays(monkeypatch, line_four):
+    spy = MasterSpy(monkeypatch)
+    inst = generate(GeneratorConfig(family="covering", n=20, N=60, J=3, epsilon=0.100333, seed=4))
+    assert assert_agree(inst, budget=_default_t_lower(inst) - 1.0) == SolveStatus.INFEASIBLE
+    assert spy.rays and spy.rays[-1]
+    spy.rays.clear()
+    assert assert_agree(line_four) == SolveStatus.INFEASIBLE
+    assert spy.rays and spy.rays[-1]
+    # rows 1 - 2x and x - 0.4 at eps = 1/2: their mean is nonpositive from
+    # x = 0.6 on, so the first master is feasible, but no x satisfies both;
+    # the resumed round proves it
+    mean_feasible = single_row_instance([1.0], [[-2.0], [1.0]], [1.0, -0.4], 0.5, "mean")
+    spy.rays.clear()
+    spy.resumed = 0
+    assert assert_agree(mean_feasible) == SolveStatus.INFEASIBLE
+    assert spy.resumed == 1 and spy.fell_back == 0 and spy.rays[-1]
+    # without a verified ray the master reports no INFEASIBLE
+    monkeypatch.setattr(simplex, "_is_farkas_ray", lambda *args: False)
+    for inst in (line_four, mean_feasible):
+        assert _solve_by_cuts(inst, np.ones(inst.N), None).status != SolveStatus.INFEASIBLE
+
+
+def test_live_master_box_path(monkeypatch):
+    # an unbounded first master is boxed and cold-solved; later rounds resume
+    spy = MasterSpy(monkeypatch)
+    inst = single_row_instance([-1.0], [[1.0], [-1.0]], [-1.0, -5.0], 0.3, "boxed")
+    assert assert_agree(inst) == SolveStatus.OPTIMAL
+    assert spy.resumed >= 1 and spy.fell_back == 0
 
 
 def reference_scaled_cvar_lp(instance, alpha, budget=None):
