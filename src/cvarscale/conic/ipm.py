@@ -34,6 +34,16 @@ G'W^-2 G, on one of two paths:
 Both paths refine every KKT solve against the residual of the unscaled
 system, and the u-solve for (-c, h) shares each operation with the
 predictor's solve.
+
+Warm start: an OPTIMAL result privately carries its de-homogenized dual,
+divided by the equilibration, and the layout of its spec.  Given a primal
+point x0 and that result, a spec of the same layout starts from the blend
+lambda * (x0, h - G x0, the dual times the new equilibration, tau = 1,
+kappa = 0) + (1 - lambda) * (the cold start), lambda = ``_WARM_WEIGHT``
+(Skajaa, Andersen & Ye, Math. Prog. Comp. 2013).  Another layout, a result
+that is not OPTIMAL, or a blended s or z that is not strictly inside K falls
+back to the cold start.  The iterations, exits and certificates that follow
+are the same for either start.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ _MAX_ITER = 200
 _FEAS_TOL = 1e-8
 _STEP_DAMP = 0.99
 _REG = 1e-12
+# Weight of the previous solution in a warm start (see ``solve_socp``).  Over
+# the SCA loops of 120 corpus instances and 80 trend-shape instances (portfolio
+# n = 20, N = 50), the IPM iterations against cold starts were 75/77 % at 0.9,
+# 69/73 % at 0.99, 66/69 % at 0.999 and 66/69 % at 0.9999, every solve OPTIMAL.
+_WARM_WEIGHT = 0.999
 # Fewest local blocks for which the block-eliminated KKT solve is used.  On
 # SCA subproblems of portfolio instances (n = 5 and 20, one BLAS thread) its
 # time per iteration over the dense path's was 1.3-1.6 at N = 12, 1.0-1.25 at
@@ -396,7 +411,7 @@ def _assemble(spec: SocpSpec):
     Gc /= d[:, None]
     Rl /= d[cpl, None]
     block_rows = _BlockRows.build(Gc, Rl, own, cols, lay)
-    return block_rows.to_internal(spec.c), block_rows, h / d, lay
+    return block_rows.to_internal(spec.c), block_rows, h / d, d, lay
 
 
 class _Columns:
@@ -669,7 +684,7 @@ class _KKT:
         return u, v
 
 
-def _result(status, z, obj, pres, dres, gap, iters) -> SolveResult:
+def _result(status, z, obj, pres, dres, gap, iters, dual=None) -> SolveResult:
     return SolveResult(
         status=status,
         z=z,
@@ -678,21 +693,72 @@ def _result(status, z, obj, pres, dres, gap, iters) -> SolveResult:
         dual_residual=dres,
         duality_gap=gap,
         iterations=iters,
+        _warm=dual,
     )
 
 
-def solve_socp(spec: SocpSpec) -> SolveResult:
+@dataclass(frozen=True)
+class _Dual:
+    """An optimal solve's de-homogenized dual over the rows of its spec,
+    divided by the equilibration, and the layout of that spec."""
+
+    layout: tuple
+    z: np.ndarray
+
+
+def _layout(spec: SocpSpec, lay: _ConeLayout) -> tuple:
+    """What a warm start's spec must share: columns, rows, cone blocks and
+    partition."""
+    part = spec.partition
+    return (spec.n, spec.A.shape[0], np.isfinite(spec.lb).tobytes(),
+            np.isfinite(spec.ub).tobytes(), lay.groups,
+            None if part is None else part.tobytes())
+
+
+def solve_socp(spec: SocpSpec, *,
+               warm: tuple[np.ndarray, SolveResult] | None = None) -> SolveResult:
     """Solve the SOCP to residuals and relative gap at most ``_FEAS_TOL``; a
-    stalled point with residuals at most 1e-6 comes back as ITERATION_LIMIT."""
+    stalled point with residuals at most 1e-6 comes back as ITERATION_LIMIT.
+
+    ``warm = (x0, result)`` is a primal point over the spec's columns and an
+    earlier OPTIMAL result of a spec with the same columns, rows, cone blocks
+    and partition.  The solve starts from lambda * (x0 and its slack, the
+    result's dual, tau = 1, kappa = 0) + (1 - lambda) * (the cold start), with
+    lambda = ``_WARM_WEIGHT`` = 0.999, chosen by measurement (Skajaa,
+    Andersen & Ye, "Warmstarting the homogeneous and self-dual interior point
+    method for linear and conic quadratic problems", Math. Prog. Comp. 2013).
+    Another layout, a result that is not OPTIMAL, or a blended slack or dual
+    not strictly inside the cone gives the cold start; ``warm=None`` is the
+    cold start, bit for bit.  Exits, tolerances and certificates are the same
+    for either start.
+    """
     # boundary iterates can transiently produce inf/nan; every such case is
     # caught explicitly, so silence the intermediate floating-point warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _solve_socp(spec)
+        return _solve_socp(spec, warm)
 
 
-def _solve_socp(spec: SocpSpec) -> SolveResult:
+def _warm_start(spec, warm, rows, h, d, lay, cold):
+    """The blended start (x, s, z) of ``solve_socp``'s ``warm``, or None
+    where it falls back to the cold start ``cold``."""
+    x0, prev = warm
+    x0 = np.asarray(x0, dtype=float)
+    dual = prev._warm
+    if (prev.status != SolveStatus.OPTIMAL or not isinstance(dual, _Dual)
+            or x0.shape != (spec.n,) or dual.layout != _layout(spec, lay)):
+        return None
+    xw = rows.to_internal(x0)
+    point = (xw, h - rows.matvec(xw), dual.z * d)
+    x, s, z = (_WARM_WEIGHT * u + (1.0 - _WARM_WEIGHT) * v for u, v in zip(point, cold))
+    if not (np.all(np.isfinite(x)) and _min_cone_margin(lay, s) > 0.0
+            and _min_cone_margin(lay, z) > 0.0):
+        return None
+    return x, s, z
+
+
+def _solve_socp(spec: SocpSpec, warm) -> SolveResult:
     n = spec.n
-    c, rows, h, lay = _assemble(spec)
+    c, rows, h, d, lay = _assemble(spec)
     m = lay.m
     if m == 0:
         return _result(SolveStatus.UNBOUNDED if np.any(c != 0) else SolveStatus.OPTIMAL,
@@ -711,6 +777,10 @@ def _solve_socp(spec: SocpSpec) -> SolveResult:
     except np.linalg.LinAlgError:
         return _result(SolveStatus.NUMERICAL_ERROR, None, np.nan, np.nan, np.nan, np.nan, 0)
     tau, kappa = 1.0, 1.0
+    start = None if warm is None else _warm_start(spec, warm, rows, h, d, lay, (x, s, z))
+    if start is not None:
+        x, s, z = start
+        kappa = 1.0 - _WARM_WEIGHT
 
     best = None
     stall = 0
@@ -731,7 +801,8 @@ def _solve_socp(spec: SocpSpec) -> SolveResult:
         relgap = abs(gap_abs) / max(1.0, abs(pobj))
         if pres <= _FEAS_TOL and dres <= _FEAS_TOL and relgap <= _FEAS_TOL:
             return _result(SolveStatus.OPTIMAL, rows.to_spec(xh), float(pobj), float(pres),
-                           float(dres), float(max(gap_abs, 0.0)), it)
+                           float(dres), float(max(gap_abs, 0.0)), it,
+                           _Dual(_layout(spec, lay), zh / d))
         merit = pres + dres + relgap
         if best is None or merit < best[0] * 0.99:
             stall = 0

@@ -270,7 +270,7 @@ def _finish(spec, sf, T, basis, pivots) -> SolveResult:
         dual_residual=dual_res,
         duality_gap=gap,
         iterations=pivots,
-        _tableau=_Tableau(spec, sf, T, basis) if resumable else None,
+        _warm=_Tableau(spec, sf, T, basis) if resumable else None,
     )
 
 
@@ -417,8 +417,8 @@ def solve_lp(spec: LinearProgramSpec, *, warm: SolveResult | None = None) -> Sol
     simplex pivots, and falls back to the cold solve if that fails.
     """
     warm_pivots = 0
-    if warm is not None and warm._tableau is not None:
-        res, warm_pivots = _warm_solve(spec, warm._tableau)
+    if warm is not None and isinstance(warm._warm, _Tableau):
+        res, warm_pivots = _warm_solve(spec, warm._warm)
         if res is not None:
             return res
     res = _solve_once(spec, start_bland=False)

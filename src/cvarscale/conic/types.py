@@ -29,9 +29,11 @@ class SolveResult:
     dual_residual: float
     duality_gap: float
     iterations: int
-    # simplex only: the optimal tableau, which warm-starts a later solve of
-    # the same LP with rows appended to A (see ``solve_lp``'s ``warm``)
-    _tableau: object = field(default=None, repr=False, compare=False)
+    # an optimal result's warm-start carrier: the simplex's tableau, which
+    # resumes a later solve of the same LP with rows appended to A (see
+    # ``solve_lp``'s ``warm``), or the cone solver's dual, which starts a
+    # later solve of a spec with the same layout (see ``solve_socp``'s)
+    _warm: object = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:

@@ -18,6 +18,13 @@ keeps its scaling factors and re-solves the scaled CVaR LP at them; that
 LP's exact vertex replaces the cone point unless its value exceeds the cone
 value by more than 1e-6, which keeps the recorded objectives monotone below
 the cone solver's noise.
+
+From the second subproblem on, the cone solve is warm-started
+(``solve_socp``'s ``warm``) from the previous subproblem's result and the
+anchor point stacked for the admissibility check.  That point is feasible in
+the new subproblem because the tangent is exact at the anchor, so only the
+dual comes from the earlier spec.  Where the relax set changed, the layouts
+differ and the solve starts cold; the first subproblem always does.
 """
 
 from __future__ import annotations
@@ -178,21 +185,23 @@ def _sca_loop(
     trace = IterationTrace()
     trace.add(0, float(instance.c @ x), x, alpha, None)
     obj_prev = float(instance.c @ x)
-    have_prev_solution = False
+    res = None  # the previous subproblem's result, once there is an iterate
 
     for k in range(1, tol.max_iter + 1):
         relax_idx = np.flatnonzero(relax_rule(g_max_all(instance, x)))
         spec = build_dc_subproblem(instance, x, alpha, relax_idx, tol)
-        if have_prev_solution and tol.delta2 >= 0.0:
+        warm = None
+        if res is not None:
+            z_prev = _stack_point(instance, x, beta, s, alpha, relax_idx)
             # the previous iterate must stay feasible: the tangent is exact at
             # the anchor, which is the mechanism behind the monotone objective.
             # (With a negative threshold a scenario whose row sits between
             # delta2 and zero may leave the relax set and void the guarantee,
             # so the check only applies at threshold zero.)
-            z_prev = _stack_point(instance, x, beta, s, alpha, relax_idx)
-            if not point_feasible_in_subproblem(spec, z_prev, slack=1e-6):
+            if tol.delta2 >= 0.0 and not point_feasible_in_subproblem(spec, z_prev, slack=1e-6):
                 raise SolverFailure("anchor admissibility violated; subproblem is malformed")
-        res = solve_socp(spec)
+            warm = (z_prev, res)
+        res = solve_socp(spec, warm=warm)
         if res.status in (SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT) and res.z is not None:
             x, beta, s, alpha = _extract(instance, relax_idx, res.z, tol.alpha_max)
             objective = res.objective
@@ -208,7 +217,6 @@ def _sca_loop(
             delta = abs(obj_prev - objective)
             trace.add(k, objective, x, alpha, delta)
             obj_prev = objective
-            have_prev_solution = True
             if delta < tol.delta1:
                 trace.termination = Termination.CONVERGED
                 return trace, alpha

@@ -7,8 +7,17 @@ substitution, or 1-D algebra) before the implementation existed.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, as benchmarks/run.py runs (its BLAS_THREAD_VARS): the
+# acceptance criteria assert wall-clock bounds, and the solves are small.  Set
+# before numpy loads; a value already in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from cvarscale import CcpInstance, Domain, Scenario
 

@@ -259,8 +259,8 @@ def test_criterion_7_trend():
         t0 = time.perf_counter()
         methods = ["cvar", "alg1", "alg2", "alg3", "alsox", "alsox-scaled"]
         # small iteration budget: the asserted properties are independent of
-        # it, and the full default budget does not fit the runtime envelope
-        # with the embedded solvers
+        # it.  With one BLAS thread on a shared 2-CPU machine this stage took
+        # 4.1 s; at Tolerances() (max_iter=25) it took 21.0 s
         tol = Tolerances(max_iter=4)
         means = {}
         for eps in (0.100333, 0.300333):

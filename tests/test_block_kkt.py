@@ -36,9 +36,9 @@ def _dense(spec: SocpSpec) -> SocpSpec:
 def subproblems():
     specs = []
 
-    def recording(spec):
+    def recording(spec, *, warm=None):
         specs.append(spec)
-        return solve_socp(spec)
+        return solve_socp(spec, warm=warm)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ipm, "_FEAS_TOL", _TOL)

@@ -167,9 +167,9 @@ class TestSimplexResume:
         """(resumed, cold) results on spec0 with rows appended; the resume must
         not fall back to the cold path."""
         first = solve_lp(spec0)
-        assert first.status == SolveStatus.OPTIMAL and first._tableau is not None
+        assert first.status == SolveStatus.OPTIMAL and first._warm is not None
         spec = appended(spec0, A_new, b_new)
-        warm, pivots = simplex._warm_solve(spec, first._tableau)
+        warm, pivots = simplex._warm_solve(spec, first._warm)
         assert warm is not None, "resume fell back to the cold solve"
         assert warm.iterations == pivots
         cold = solve_lp(spec)
@@ -213,7 +213,7 @@ class TestSimplexResume:
         spec = lp([1.0, 1.0], A=[[-1.0, -1.0], [-1.0, -2.0]], b=[-1.0, -1.5],
                   lb=[0.0, 0.0], ub=[FREE, FREE])
         first = solve_lp(spec)
-        assert first.status == SolveStatus.OPTIMAL and first._tableau is not None
+        assert first.status == SolveStatus.OPTIMAL and first._warm is not None
         warm, cold = self.resume(spec, [[0.0, -1.0], [-1.0, 0.0]], [-0.8, -0.6])
         assert cold.objective == pytest.approx(1.4)
 
@@ -239,20 +239,20 @@ class TestSimplexResume:
         # the status rests on the Farkas check: without it the cold path decides
         first = solve_lp(spec)
         monkeypatch.setattr(simplex, "_is_farkas_ray", lambda *args: False)
-        assert simplex._warm_solve(appended(spec, rows, rhs), first._tableau)[0] is None
+        assert simplex._warm_solve(appended(spec, rows, rhs), first._warm)[0] is None
 
     def test_foreign_carrier_falls_back(self):
         spec = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
                   lb=[0.0, 0.0], ub=[FREE, FREE])
         longer = appended(spec, [[1.0, 1.0]], [2.5])
         res = solve_lp(longer)
-        assert simplex._warm_solve(spec, res._tableau)[0] is None  # more rows than the LP
+        assert simplex._warm_solve(spec, res._warm)[0] is None  # more rows than the LP
         # another objective, other bounds, or an old row edited (a stale carrier)
         other = [LinearProgramSpec(c=[-1.0, -2.0], A=spec.A, b=spec.b, lb=spec.lb, ub=spec.ub),
                  LinearProgramSpec(c=spec.c, A=spec.A, b=spec.b, lb=spec.lb, ub=[1.0, FREE]),
                  LinearProgramSpec(c=spec.c, A=spec.A, b=[4.0, 5.0], lb=spec.lb, ub=spec.ub)]
         for changed in other:
-            carrier = solve_lp(changed)._tableau
+            carrier = solve_lp(changed)._warm
             assert simplex._warm_solve(longer, carrier)[0] is None
             assert solve_lp(longer, warm=solve_lp(changed)).objective == \
                 pytest.approx(res.objective)
@@ -263,11 +263,11 @@ class TestSimplexResume:
         spec = lp([-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 6.0],
                   lb=[0.0, 0.0], ub=[FREE, FREE])
         first = solve_lp(spec)
-        T = first._tableau.T.copy()
+        T = first._warm.T.copy()
         a = solve_lp(appended(spec, [[1.0, 1.0]], [2.5]), warm=first)
         solve_lp(appended(spec, [[1.0, 0.0]], [0.5]), warm=first)
         b = solve_lp(appended(spec, [[1.0, 1.0]], [2.5]), warm=first)
-        assert np.array_equal(first._tableau.T, T)
+        assert np.array_equal(first._warm.T, T)
         assert np.array_equal(a.z, b.z) and a.iterations == b.iterations
 
     @pytest.mark.parametrize("seed", range(4))
@@ -283,10 +283,10 @@ class TestSimplexResume:
                    ub=[FREE, 2.0, FREE, 5.0, 3.0, FREE])
         first = solve_lp(spec0)
         spec = appended(spec0, *cutting_rows(rng, spec0, first.z, 1 + seed))
-        grown = simplex._append_rows(first._tableau, spec)
+        grown = simplex._append_rows(first._warm, spec)
         res = solve_lp(spec, warm=first)
-        assert res.iterations > 0 and res._tableau is not None
-        for tab in (grown, res._tableau):
+        assert res.iterations > 0 and res._warm is not None
+        for tab in (grown, res._warm):
             sf = simplex._to_standard_form(spec)
             As, bs = simplex._equilibrate(sf.As, sf.bs)
             m = As.shape[0]
@@ -306,30 +306,30 @@ class TestSimplexResume:
                    lb=[0.0, 0.0], ub=[FREE, FREE])
         spec = appended(spec0, [[1.0, 1.0]], [10.0])  # slack at the optimum: no pivot
         first = solve_lp(spec0)
-        tab = first._tableau
+        tab = first._warm
         T = tab.T.copy()
         m = tab.basis.size
         if where == "rhs":
             T[:m, -1] *= 1.01
         else:
             T[m, :-1] = np.where(T[m, :-1] > 0, T[m, :-1] * 1.01, 0.0)
-        drifted = replace(first, _tableau=replace(tab, T=T))
+        drifted = replace(first, _warm=replace(tab, T=T))
         cold_calls = []
         solve_once = simplex._solve_once
         monkeypatch.setattr(simplex, "_solve_once",
                             lambda *a, **k: cold_calls.append(1) or solve_once(*a, **k))
-        warm, pivots = simplex._warm_solve(spec, drifted._tableau)
+        warm, pivots = simplex._warm_solve(spec, drifted._warm)
         assert warm is None
         res = solve_lp(spec, warm=drifted)
         cold = solve_lp(spec)
         assert len(cold_calls) == 2
         assert pivots == 0 and np.array_equal(res.z, cold.z)
         assert res.iterations == cold.iterations and res.status == SolveStatus.OPTIMAL
-        assert simplex._warm_solve(spec, first._tableau)[0] is not None  # undrifted
+        assert simplex._warm_solve(spec, first._warm)[0] is not None  # undrifted
 
     def test_tableau_only_on_optimal_results(self):
-        assert solve_lp(lp([1.0], A=[[1.0]], b=[-1.0], lb=[0.0], ub=[FREE]))._tableau is None
-        assert solve_lp(lp([-1.0], lb=[0.0], ub=[FREE]))._tableau is None
+        assert solve_lp(lp([1.0], A=[[1.0]], b=[-1.0], lb=[0.0], ub=[FREE]))._warm is None
+        assert solve_lp(lp([-1.0], lb=[0.0], ub=[FREE]))._warm is None
 
 
 class TestInteriorPoint:

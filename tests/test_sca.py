@@ -217,8 +217,8 @@ class TestSubproblemArrays:
 
         solved = []
 
-        def recording(spec):
-            res = solve_socp(spec)
+        def recording(spec, *, warm=None):
+            res = solve_socp(spec, warm=warm)
             solved.append((spec, res.z))
             return res
 
@@ -383,8 +383,8 @@ def _instance_2_subproblems(monkeypatch):
 
     solved = []
 
-    def recording(spec):
-        res = solve_socp(spec)
+    def recording(spec, *, warm=None):
+        res = solve_socp(spec, warm=warm)
         solved.append((spec, res))
         return res
 
