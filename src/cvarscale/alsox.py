@@ -10,6 +10,13 @@ satisfied scenarios held to the LPs' accuracy, the budget is provable, so t_U
 drops to t; otherwise t_L rises to t.  The scaled variant gets a second
 chance on failed budgets: it reruns the scaling heuristic on the
 budget-restricted instance, which can certify budgets the plain check misses.
+
+One bisection owns one hinge master (``cvar._HingeMaster``) and passes it to
+every lower level.  Between two budgets only the budget row's right-hand side
+changes, so each lower level after the first starts on the previous level's
+last LP, its cut pool or its explicit rows alike, at the new budget, and
+resumes that LP's optimal tableau by a few dual simplex pivots instead of a
+cold solve.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .conic import SolveStatus, solve_lp
-from .cvar import _solve_hinge, solve_cvar
+from .cvar import _HingeMaster, _solve_hinge, solve_cvar
 from .errors import InfeasibleProblem, NoFeasibleIncumbent, SolverFailure
 from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible, with_extra_domain_rows
 from .scaling import scaling_heuristic
@@ -69,13 +76,16 @@ class BisectionReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
-def lower_level(instance: CcpInstance, t: float) -> tuple[np.ndarray, float, float]:
+def lower_level(
+    instance: CcpInstance, t: float, *, master: _HingeMaster | None = None
+) -> tuple[np.ndarray, float, float]:
     """Minimize the hinge loss under the budget row c.x <= t.
 
     Returns (x, beta, value).  Raises InfeasibleProblem when the budget row
-    cuts off the whole domain.
+    cuts off the whole domain.  ``master`` is a bisection's private
+    ``cvar._HingeMaster``; without it the solve starts cold.
     """
-    sol = _solve_hinge(instance, np.ones(instance.N), budget=t)
+    sol = _solve_hinge(instance, np.ones(instance.N), budget=t, master=master)
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasibleProblem(f"budget {t!r} cuts off the whole domain")
     if sol.status != SolveStatus.OPTIMAL:
@@ -124,14 +134,15 @@ def _bisect(
 
     # the initial upper bound comes from a feasible method; its lower-level
     # solution provides the starting incumbent
-    x0, _, v0 = lower_level(instance, t_upper)
+    master = _HingeMaster()
+    x0, _, v0 = lower_level(instance, t_upper, master=master)
     if _certifies(instance, x0, tol):
         report.x = x0
         report.objective = float(instance.c @ x0)
 
     while t_upper - t_lower > delta_A:
         t = (t_lower + t_upper) / 2.0
-        x, _, value = lower_level(instance, t)
+        x, _, value = lower_level(instance, t, master=master)
         feasible = _certifies(instance, x, tol)
         rescued = False
         if not feasible and rescue is not None:

@@ -146,13 +146,16 @@ def cmd_solve(args) -> int:
         trace = rep
     else:  # alg1 / alg2 / alg3
         x0 = _initial_point(instance, args, tol)
-        fixed_mask = None
-        if args.prune_eta and args.method == "alg1":
-            probe = scaling_heuristic(instance, x0, tol)
-            floors = scenario_cost_floors(instance)
-            fixed_mask = pin_alpha_mask(floors, probe.incumbent.objective, tol.feas_tol)
         if args.method == "alg1":
-            trace = scaling_heuristic(instance, x0, tol, fixed_mask=fixed_mask)
+            trace = scaling_heuristic(instance, x0, tol)
+            if args.prune_eta:
+                # pinning is judged against the unpinned run's incumbent, and
+                # can keep the heuristic off its path to it: keep the better run
+                floors = scenario_cost_floors(instance)
+                fixed_mask = pin_alpha_mask(floors, trace.incumbent.objective, tol.feas_tol)
+                pinned = scaling_heuristic(instance, x0, tol, fixed_mask=fixed_mask)
+                if pinned.incumbent.objective <= trace.incumbent.objective:
+                    trace = pinned
         elif args.method == "alg2":
             trace = sequential_convex(instance, x0, tol)
         else:
@@ -284,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial point source for alg1/alg2/alg3")
     p.add_argument("--init-file", help="JSON file with an explicit initial x")
     p.add_argument("--prune-eta", action="store_true",
-                   help="pin factors of scenarios whose cost floor exceeds the incumbent")
+                   help="alg1: rerun with the factors of scenarios whose cost floor exceeds "
+                        "the incumbent pinned to one; keep the better run")
     p.add_argument("--output", "-o")
     p.add_argument("--trace-file")
     _add_tolerance_flags(p)

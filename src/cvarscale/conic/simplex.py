@@ -11,17 +11,22 @@ slack column of row i has reduced cost -y_i times its entry in that row.
 
 An optimal result privately carries its tableau: B^-1 [As | bs] of the
 equilibrated standard form, the objective row and the map back to z.  Passed
-back as ``warm`` with the same LP after rows were appended to ``A``, it
-resumes the solve.  Only the new rows are written in standard form and
-equilibrated; their basic columns are eliminated with one product against the
-old tableau rows, their slacks join the basis, which stays dual feasible, and
-dual simplex pivots restore primal feasibility under the same pricing and
-Bland switch (Koberstein, "The dual simplex method, techniques for a fast and
-stable implementation", 2005).  The answer is certified as a cold one is, and
-a dual row without a negative entry is checked as a Farkas ray before
-INFEASIBLE is returned.  Anything else (a carrier of another LP, a pivot cap,
-a failed certificate) falls back to the cold two-phase solve.  The hinge-cut
-master in ``cvar`` uses this between separation rounds.
+back as ``warm`` with the same LP after rows were appended to ``A``, or after
+the right-hand sides of its rows changed, or both, it resumes the solve.  Only
+the new rows are written in standard form and equilibrated; their basic
+columns are eliminated with one product against the old tableau rows, their
+slacks join the basis, which stays dual feasible, and dual simplex pivots
+restore primal feasibility under the same pricing and Bland switch
+(Koberstein, "The dual simplex method, techniques for a fast and stable
+implementation", 2005).  A changed right-hand side leaves B^-1 As and the
+reduced costs as they are; B^-1 bs and the objective value are recomputed
+from the tableau's slack columns, which hold B^-1 times the row scales, so
+the basis stays dual feasible and the same pivots apply.  The answer is
+certified as a cold one is, and a dual row without a negative entry is
+checked as a Farkas ray before INFEASIBLE is returned.  Anything else (a
+carrier of another LP, a pivot cap, a failed certificate) falls back to the
+cold two-phase solve.  The hinge-cut master in ``cvar`` uses this between
+separation rounds, and between the budgets of one bisection.
 """
 
 from __future__ import annotations
@@ -339,11 +344,12 @@ def _solve_once(spec: LinearProgramSpec, start_bland: bool) -> SolveResult:
 
 
 def _same_lp(spec: LinearProgramSpec, done: LinearProgramSpec) -> bool:
-    """True when ``spec`` is the LP ``done`` with zero or more rows appended to A."""
+    """True when ``spec`` is the LP ``done`` with zero or more rows appended to A,
+    whatever the right-hand sides of its rows."""
     m = done.A.shape[0]
     return (spec.A.shape[0] >= m and np.array_equal(spec.c, done.c)
             and np.array_equal(spec.lb, done.lb) and np.array_equal(spec.ub, done.ub)
-            and np.array_equal(spec.A[:m], done.A) and np.array_equal(spec.b[:m], done.b))
+            and np.array_equal(spec.A[:m], done.A))
 
 
 def _append_rows(tab: _Tableau, spec: LinearProgramSpec) -> _Tableau:
@@ -352,6 +358,11 @@ def _append_rows(tab: _Tableau, spec: LinearProgramSpec) -> _Tableau:
     The new rows are written in standard form and equilibrated on their own;
     the old rows keep their scales.  A new tableau row is the standard row
     less its basic columns, eliminated against the old rows in one product.
+    Where ``spec`` changed the right-hand side of an old row, B^-1 bs and the
+    objective value are recomputed first: the slack column of row i holds
+    B^-1 e_i / (row scale i), so B^-1 bs is the slack block times the raw
+    right-hand sides, and the objective row's slack entries give c_B B^-1 bs
+    the same way, its slacks' costs being zero.
     """
     sf, old = tab.sf, tab.T
     m, ncols = sf.As.shape
@@ -369,17 +380,24 @@ def _append_rows(tab: _Tableau, spec: LinearProgramSpec) -> _Tableau:
     T = np.zeros((m + k + 1, ncols + k + 1))
     T[:m, :ncols] = old[:m, :ncols] / unit
     T[:m, -1:] = old[:m, -1:] / unit
+    T[-1, :ncols] = old[m, :ncols]
+    T[-1, -1] = old[m, -1]
+    bs = sf.bs
+    if not np.array_equal(spec.b[:m_old], tab.spec.b):
+        nb = m - m_old  # bound rows, whose scale is one
+        raw = np.concatenate([bs[:nb], spec.b[:m_old] - spec.A[:m_old] @ sf.shift])
+        bs = np.concatenate([bs[:nb], raw[nb:] * np.diagonal(sf.As, ncols - m)[nb:]])
+        T[:, -1] = T[:, ncols - m:ncols] @ raw  # the new rows are still zero
     T[m:-1, :-1] = R
     T[m:-1, -1] = r
     T[m:-1] -= T[m:-1, tab.basis] @ T[:m]
-    T[-1, :ncols] = old[m, :ncols]
-    T[-1, -1] = old[m, -1]
-    sf = replace(sf, As=As, bs=np.concatenate([sf.bs, rs]), cs=np.append(sf.cs, np.zeros(k)))
+    sf = replace(sf, As=As, bs=np.concatenate([bs, rs]), cs=np.append(sf.cs, np.zeros(k)))
     return _Tableau(spec, sf, T, np.concatenate([tab.basis, np.arange(ncols, ncols + k)]))
 
 
 def _warm_solve(spec: LinearProgramSpec, tab: _Tableau) -> tuple[SolveResult | None, int]:
-    """Dual simplex from ``tab`` once ``spec`` appended its rows.
+    """Dual simplex from ``tab`` once ``spec`` appended its rows or changed its
+    right-hand sides.
 
     Returns the result and the pivots spent; the result is None when the warm
     start cannot certify an answer and the cold solve has to decide.
@@ -412,9 +430,12 @@ def solve_lp(spec: LinearProgramSpec, *, warm: SolveResult | None = None) -> Sol
     """Solve the LP; re-solve once under Bland's rule if certification fails.
 
     ``warm`` is an earlier result of the same LP with fewer (or as many) rows
-    in ``A``; the arrays of its spec must not have been changed in place
-    since.  If it is optimal, the solve resumes from its tableau by dual
-    simplex pivots, and falls back to the cold solve if that fails.
+    in ``A``; the right-hand sides of those rows may differ, but nothing else
+    of them, and the arrays of its spec must not have been changed in place
+    since.  If it is optimal, the solve resumes from its tableau: B^-1 b is
+    recomputed from the tableau's slack columns where a right-hand side
+    changed, the new rows are eliminated against it, and dual simplex pivots
+    follow.  It falls back to the cold solve if that fails.
     """
     warm_pivots = 0
     if warm is not None and isinstance(warm._warm, _Tableau):

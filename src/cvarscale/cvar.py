@@ -21,16 +21,33 @@ theta stands for sum_i p_i s_i: one aggregated hinge cut
 per tail set S, generated on demand (Klein Haneveld & van der Vlerk, Comput.
 Manag. Sci. 2006; Kuenzi-Bauer & Luethi, Comput. Manag. Sci. 2012).  Small
 instances keep the explicit LP, which is faster there.
+
+A loop that makes a chain of these solves on one instance (the budget
+bisection in ``alsox``, the scaling heuristic in ``scaling``) owns one
+private ``_HingeMaster`` and passes it to each solve.  It keeps the loop's
+last optimal LP and what that LP's rows mean:
+
+- at the same factors (a bisection, where only the budget row's right-hand
+  side moves) the next solve starts on the whole last LP, cut pool or
+  explicit rows, at its new budget, and resumes its tableau
+  (``solve_lp``'s ``warm``) instead of a cold first round;
+- at new factors (the heuristic) the cuts that bound at the last optimum,
+  kept as a subset S and one chosen row j(i) per member, are re-weighted into
+  sum_{i in S} p_i (alpha_i g_{i j(i)}(x) - beta) <= theta, which is valid for
+  every alpha >= 0, and seed the next solve's first round (Fabian, EJOR 2008).
+
+Only a solve's own cuts count toward the explicit-LP hand-over.  A solve
+called without a master behaves as one with a fresh master.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conic import LinearProgramSpec, SolveStatus, solve_lp
+from .conic import LinearProgramSpec, SolveResult, SolveStatus, solve_lp
 from .errors import DimensionMismatch, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, g_max_all, violation_probability
 
@@ -176,12 +193,41 @@ def _no_solution(alpha: np.ndarray, status: SolveStatus) -> CvarSolution:
     return CvarSolution(x=None, beta=np.nan, s=None, alpha=alpha, objective=np.nan, status=status)
 
 
+@dataclass
+class _HingeMaster:
+    """One loop's state between its hinge solves (see the module docstring).
+
+    ``res`` is the loop's last optimal LP, solved at the factors ``alpha``: a
+    cut master whose cut rows are the pool ``cuts`` (row bytes -> row, rhs,
+    members, row choices), or the explicit LP when ``cuts`` is None.
+    ``binding`` lists the (members, row choices) of the cuts that bound at
+    the last cut master's optimum.
+    """
+
+    res: SolveResult | None = None
+    alpha: np.ndarray | None = None
+    cuts: dict | None = None
+    binding: list = field(default_factory=list)
+
+    def resumes(self, alpha: np.ndarray, cuts: bool) -> bool:
+        """True when the last LP was of this kind and at these factors."""
+        return (self.res is not None and (self.cuts is not None) == cuts
+                and np.array_equal(self.alpha, alpha))
+
+    def keep(self, res: SolveResult, alpha: np.ndarray, cuts=None, binding=()) -> None:
+        self.res, self.alpha, self.cuts, self.binding = res, alpha, cuts, list(binding)
+
+
 def _solve_explicit(
-    instance: CcpInstance, alpha: np.ndarray, budget: float | None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None,
+    master: _HingeMaster | None = None,
 ) -> CvarSolution:
-    res = solve_lp(build_scaled_cvar_lp(instance, alpha, budget))
+    warm = master.res if master is not None and master.resumes(alpha, cuts=False) else None
+    res = solve_lp(build_scaled_cvar_lp(instance, alpha, budget), warm=warm)
     if res.status != SolveStatus.OPTIMAL:
         return _no_solution(alpha, res.status)
+    if master is not None:
+        master.keep(res, alpha)
     n, N = instance.n, instance.N
     z = res.z
     return CvarSolution(
@@ -199,20 +245,28 @@ def _sorted_tail(losses: np.ndarray, p: np.ndarray, eps: float) -> tuple[np.ndar
 
 
 def _worst_rows(instance: CcpInstance, alpha: np.ndarray, x: np.ndarray):
-    """Scaled gradient, offset and loss of each scenario's worst row at x."""
+    """Scaled gradient, offset and loss of each scenario's worst row at x, and
+    that row's index within the scenario."""
     N, J = instance.N, instance.J
     j = (instance.w_stack @ x + instance.d_stack).reshape(N, J).argmax(axis=1)
     picked = np.arange(N) * J + j
     aW = alpha[:, None] * instance.w_stack[picked]
     ad = alpha * instance.d_stack[picked]
-    return aW, ad, aW @ x + ad
+    return aW, ad, aW @ x + ad, j
 
 
-def _hinge_cut(p, aW, ad, members) -> tuple[np.ndarray, float]:
-    """theta >= sum_{i in members} p_i (aW_i.x + ad_i - beta), as a row over (x, beta, theta)."""
-    w = p[members]
-    row = np.concatenate([w @ aW[members], [-w.sum(), -1.0]])
-    return row, -float(w @ ad[members])
+def _hinge_cut(w, aW, ad) -> tuple[np.ndarray, float]:
+    """theta >= sum_i w_i (aW_i.x + ad_i - beta) over the members' weights w and
+    scaled rows (aW, ad), as a row over (x, beta, theta)."""
+    row = np.concatenate([w @ aW, [-w.sum(), -1.0]])
+    return row, -float(w @ ad)
+
+
+def _reweighted_cut(instance: CcpInstance, alpha: np.ndarray, members, picks):
+    """The hinge cut of ``members`` on their rows ``picks``, written at ``alpha``."""
+    rows = members * instance.J + picks
+    return _hinge_cut(instance.probs[members], alpha[members, None] * instance.w_stack[rows],
+                      alpha[members] * instance.d_stack[rows])
 
 
 # Above this many scenario rows (N * J) the hinge cuts beat the explicit LP.
@@ -231,7 +285,8 @@ _POOL_FLOOR = 32
 
 
 def _solve_by_cuts(
-    instance: CcpInstance, alpha: np.ndarray, budget: float | None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None,
+    master: _HingeMaster | None = None,
 ) -> CvarSolution:
     """The scaled LP over (x, beta, theta) by aggregated hinge cuts.
 
@@ -246,28 +301,44 @@ def _solve_by_cuts(
     an infeasible master proves the surrogate infeasible.  An unbounded master
     is boxed, solved cold, and separation goes on; if the box still binds at
     the end the explicit LP decides, so UNBOUNDED comes only from it.
+
+    With a loop's ``master`` the first round starts from the last master at
+    the same factors, which it resumes at the new budget, or else is seeded
+    with the last master's binding cuts re-weighted at ``alpha``.  The pool it
+    starts with, less the all-scenarios cut, does not count toward the
+    explicit-LP hand-over.
     """
     n, N = instance.n, instance.N
     p, eps, dom = instance.probs, instance.epsilon, instance.domain
     c, head, head_rhs, lb, ub = _head_rows(instance, np.ones(1), budget)
 
-    cuts: dict[bytes, tuple[np.ndarray, float]] = {}
+    cuts: dict[bytes, tuple] = {}
 
-    def hold(row, rhs) -> bool:
+    def hold(row, rhs, members, picks) -> bool:
         """Add a cut to the pool; False when the pool already holds it."""
         key = row.tobytes() + np.float64(rhs).tobytes()
         if key in cuts:
             return False
-        cuts[key] = (row, rhs)
+        cuts[key] = (row, rhs, members, picks)
         return True
 
-    aW, ad, _ = _worst_rows(instance, alpha, np.clip(np.zeros(n), dom.lb, dom.ub))
-    hold(*_hinge_cut(p, aW, ad, np.arange(N)))
-    boxed = None
+    def hold_tail(aW, ad, j, members) -> bool:
+        return hold(*_hinge_cut(p[members], aW[members], ad[members]), members, j[members])
+
     res = None  # new cuts are appended, so each round resumes from the last tableau
+    if master is not None and master.resumes(alpha, cuts=True):
+        cuts.update(master.cuts)
+        res = master.res
+    aW, ad, _, j = _worst_rows(instance, alpha, np.clip(np.zeros(n), dom.lb, dom.ub))
+    hold_tail(aW, ad, j, np.arange(N))
+    if res is None and master is not None:
+        for members, picks in master.binding:
+            hold(*_reweighted_cut(instance, alpha, members, picks), members, picks)
+    carried = len(cuts) - 1
+    boxed = None
     while True:
-        A = np.vstack([head, *(row for row, _ in cuts.values())])
-        b = np.concatenate([head_rhs, [r for _, r in cuts.values()]])
+        A = np.vstack([head, *(cut[0] for cut in cuts.values())])
+        b = np.concatenate([head_rhs, [cut[1] for cut in cuts.values()]])
         res = solve_lp(LinearProgramSpec(c=c, A=A, b=b, lb=lb, ub=ub), warm=res)
         if res.status == SolveStatus.UNBOUNDED and boxed is None:
             open_lb, open_ub = ~np.isfinite(dom.lb), ~np.isfinite(dom.ub)
@@ -279,20 +350,27 @@ def _solve_by_cuts(
         if res.status != SolveStatus.OPTIMAL:
             return _no_solution(alpha, res.status)
         x, beta, theta = res.z[:n], float(res.z[n]), float(res.z[n + 1])
-        aW, ad, loss = _worst_rows(instance, alpha, x)
+        aW, ad, loss, j = _worst_rows(instance, alpha, x)
         tail = np.flatnonzero(loss > beta)
-        row, rhs = _hinge_cut(p, aW, ad, tail)
         violation = float(p[tail] @ (loss[tail] - beta)) - theta
-        if violation <= 1e-9 * (1.0 + abs(theta)) or not hold(row, rhs):
+        if violation <= 1e-9 * (1.0 + abs(theta)) or not hold_tail(aW, ad, j, tail):
             break
-        if len(cuts) > max(_POOL_FLOOR, N * instance.J // 4):
-            return _solve_explicit(instance, alpha, budget)
+        if len(cuts) - carried > max(_POOL_FLOOR, N * instance.J // 4):
+            return _solve_explicit(instance, alpha, budget, master)
         order, k = _sorted_tail(loss, p, eps)
         for size in range(max(k - 1, 1), min(k + 1, N) + 1):
-            hold(*_hinge_cut(p, aW, ad, order[:size]))
+            hold_tail(aW, ad, j, order[:size])
 
     if boxed is not None and np.any(np.abs(x - centre)[boxed] >= 0.5 * _X_BOX):
-        return _solve_explicit(instance, alpha, budget)
+        return _solve_explicit(instance, alpha, budget, master)
+    if master is not None:
+        # a boxed master's bounds differ from the next call's, so solve_lp
+        # starts that one cold, with the whole pool
+        rows = np.array([cut[0] for cut in cuts.values()])
+        slack = np.array([cut[1] for cut in cuts.values()]) - rows @ res.z
+        binding = [cut[2:] for cut, gap in zip(cuts.values(), slack)
+                   if gap <= 1e-9 * (1.0 + abs(theta))]
+        master.keep(res, alpha, cuts, binding)
     s = np.maximum(loss - beta, 0.0)
     objective = res.objective if budget is None else eps * beta + float(p @ s)
     return CvarSolution(x=x, beta=beta, s=s, alpha=alpha, objective=objective,
@@ -300,20 +378,27 @@ def _solve_by_cuts(
 
 
 def _solve_hinge(
-    instance: CcpInstance, alpha: np.ndarray, budget: float | None = None
+    instance: CcpInstance, alpha: np.ndarray, budget: float | None = None,
+    master: _HingeMaster | None = None,
 ) -> CvarSolution:
     """The scaled LP (objective form when ``budget`` is given) on the faster path."""
     if instance.N * instance.J > _CUT_ROWS:
-        return _solve_by_cuts(instance, alpha, budget)
-    return _solve_explicit(instance, alpha, budget)
+        return _solve_by_cuts(instance, alpha, budget, master)
+    return _solve_explicit(instance, alpha, budget, master)
 
 
 def solve_scaled_cvar(
     instance: CcpInstance,
     alpha: ScalingVector | np.ndarray,
     tol: Tolerances | None = None,
+    *,
+    master: _HingeMaster | None = None,
 ) -> CvarSolution:
-    """Solve the scaled approximation at fixed alpha (an LP, since alpha is data)."""
+    """Solve the scaled approximation at fixed alpha (an LP, since alpha is data).
+
+    ``master`` is a loop's private ``_HingeMaster`` (``scaling_heuristic``
+    passes its own); without it the solve starts cold.
+    """
     tol = tol or Tolerances()
     if not isinstance(alpha, ScalingVector):
         alpha = ScalingVector(alpha)
@@ -321,7 +406,7 @@ def solve_scaled_cvar(
         raise DimensionMismatch(f"alpha has {len(alpha)} entries, expected {instance.N}")
     alpha.check(tol.alpha_max)
 
-    sol = _solve_hinge(instance, alpha.alpha)
+    sol = _solve_hinge(instance, alpha.alpha, master=master)
     if sol.status == SolveStatus.OPTIMAL:
         if sol.beta <= -0.999 * _BETA_FLOOR:
             warnings.warn("beta floor active; solution may sit on the artificial bound")

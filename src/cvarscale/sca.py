@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import ConeStack, SocpSpec, SolveStatus, solve_socp
-from .cvar import _head_rows, _scenario_rows, solve_scaled_cvar
+from .cvar import CvarSolution, _head_rows, _scenario_rows, solve_scaled_cvar
 from .errors import InfeasibleProblem, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, g_max_all
 from .scaling import IterationTrace, Termination, scaling_heuristic
@@ -176,8 +176,12 @@ def _sca_loop(
     x0,
     tol: Tolerances,
     relax_rule,
-) -> tuple[IterationTrace, np.ndarray]:
-    """Shared loop: relax_rule(worst) picks the scenarios left free to scale."""
+) -> tuple[IterationTrace, np.ndarray, CvarSolution | None]:
+    """Shared loop: relax_rule(worst) picks the scenarios left free to scale.
+
+    Returns the trace, the last factors and the scaled LP solved at exactly
+    those factors by the last polish (None when no subproblem succeeded).
+    """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     alpha = np.ones(instance.N)
     beta, s = 0.0, np.zeros(instance.N)
@@ -186,6 +190,7 @@ def _sca_loop(
     trace.add(0, float(instance.c @ x), x, alpha, None)
     obj_prev = float(instance.c @ x)
     res = None  # the previous subproblem's result, once there is an iterate
+    polished = None
 
     for k in range(1, tol.max_iter + 1):
         relax_idx = np.flatnonzero(relax_rule(g_max_all(instance, x)))
@@ -219,14 +224,14 @@ def _sca_loop(
             obj_prev = objective
             if delta < tol.delta1:
                 trace.termination = Termination.CONVERGED
-                return trace, alpha
+                return trace, alpha, polished
             continue
         if res.status == SolveStatus.INFEASIBLE and k == 1:
             raise InfeasibleProblem("first convex subproblem is infeasible from this start")
         trace.termination = Termination.NUMERICAL_ERROR
-        return trace, alpha
+        return trace, alpha, polished
     trace.termination = Termination.MAX_ITER
-    return trace, alpha
+    return trace, alpha, polished
 
 
 def sequential_convex(
@@ -234,7 +239,7 @@ def sequential_convex(
 ) -> IterationTrace:
     """Jointly update (x, alpha) through convex subproblems relaxing every scenario."""
     tol = tol or Tolerances()
-    trace, _ = _sca_loop(instance, x0, tol, lambda worst: np.ones(instance.N, dtype=bool))
+    trace, _, _ = _sca_loop(instance, x0, tol, lambda worst: np.ones(instance.N, dtype=bool))
     return trace
 
 
@@ -243,15 +248,18 @@ def hybrid_refine(
 ) -> IterationTrace:
     """Relax only strictly-satisfied scenarios, then refine with the heuristic.
 
-    After the convex loop terminates with factors ``alpha``, the scaled LP is
-    re-solved once at exactly those factors (this can only improve on the last
-    convex iterate) and the plain scaling heuristic continues from there; the
-    combined trace is returned and its incumbent is the answer.
+    After the convex loop terminates with factors ``alpha``, the scaled LP at
+    exactly those factors (this can only improve on the last convex iterate)
+    is recorded, and the plain scaling heuristic continues from there; the
+    combined trace is returned and its incumbent is the answer.  That LP is
+    the loop's last polish, so it is solved here only when the first
+    subproblem failed.
     """
     tol = tol or Tolerances()
-    trace, alpha = _sca_loop(instance, x0, tol, lambda worst: worst < tol.delta2)
+    trace, alpha, post = _sca_loop(instance, x0, tol, lambda worst: worst < tol.delta2)
 
-    post = solve_scaled_cvar(instance, ScalingVector(alpha), tol)
+    if post is None:
+        post = solve_scaled_cvar(instance, ScalingVector(alpha), tol)
     if post.optimal:
         last = trace.records[-1]
         trace.add(last.k + 1, post.objective, post.x, alpha, abs(last.objective - post.objective))

@@ -6,6 +6,11 @@ than ``1 - epsilon`` probability mass into scaling factors under which the
 scaled CVaR approximation accepts that point.  The heuristic repeats the
 construction at successive LP solutions, growing factors monotonically on the
 strictly-satisfied set and resetting them to one elsewhere.
+
+One run of the heuristic owns one hinge master (``cvar._HingeMaster``) and
+passes it to each scaled solve.  The hinge cuts that bind at one iteration's
+optimum stay valid at the next iteration's factors once re-weighted, so they
+seed the next solve's first round; the explicit LP path has nothing to carry.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .conic import SolveStatus, solve_lp
-from .cvar import solve_scaled_cvar
+from .cvar import _HingeMaster, solve_scaled_cvar
 from .errors import ConditionViolated, DimensionMismatch, InfeasibleProblem, SolverFailure
 from .model import CcpInstance, ScalingVector, Tolerances, _domain_lp, g_max_all
 
@@ -219,6 +224,8 @@ def scaling_heuristic(
 
     ``fixed_mask`` pins the masked scenarios' factors to one throughout
     (cost-floor pruning); ``alpha0`` seeds the factors (all ones by default).
+    The scaled solves share one hinge master, so each carries the cuts that
+    bound at the last one's optimum.
     """
     tol = tol or Tolerances()
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -233,6 +240,7 @@ def scaling_heuristic(
     p = instance.probs
     eps = instance.epsilon
     guard_tripped = False
+    master = _HingeMaster()
 
     for k in range(1, tol.max_iter + 1):
         worst = g_max_all(instance, x)
@@ -246,7 +254,7 @@ def scaling_heuristic(
             alpha = np.minimum(new_alpha, tol.alpha_max)
             if fixed_mask is not None:
                 alpha[fixed_mask] = 1.0
-        sol = solve_scaled_cvar(instance, ScalingVector(alpha), tol)
+        sol = solve_scaled_cvar(instance, ScalingVector(alpha), tol, master=master)
         if not sol.optimal:
             if k == 1:
                 raise InfeasibleProblem(

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cvarscale import Tolerances, chance_feasible, g_max_all
+from cvarscale import Tolerances, alsox, chance_feasible, g_max_all
 from cvarscale.alsox import alsox_sharp, alsox_sharp_scaled, lower_level
+from cvarscale.bench import GeneratorConfig, generate
+from cvarscale.conic import SolveStatus, solve_lp
+from cvarscale.cvar import build_scaled_cvar_lp, solve_cvar
 from cvarscale.errors import InfeasibleProblem
 from cvarscale.exact import brute_force_optimal
 from tests.conftest import single_row_instance
 from tests.test_acceptance import _mixed_instance
+from tests.test_cvar_cuts import MasterSpy
 from tests.test_scaling import small_corpus
 
 
@@ -123,3 +127,46 @@ def test_certified_budgets_stay_above_the_optimum(shape, seed):
         worst = g_max_all(inst, rep.x)
         assert chance_feasible(inst, rep.x, 1e-9)
         assert np.all((worst <= 1e-9) | (worst > tol.feas_tol))
+
+
+def resume_cases():
+    """Corpus shapes (the explicit LP path), and lp-large and trend-mid shapes
+    (the cut path)."""
+    corpus = (_mixed_instance(i) for i in range(12))
+    yield from [inst for inst in corpus if solve_cvar(inst).optimal][:6]
+    yield generate(GeneratorConfig(family="portfolio", n=20, N=200, epsilon=0.100333, seed=1))
+    yield generate(GeneratorConfig(family="covering", n=20, N=60, J=3, epsilon=0.100333, seed=1))
+    for eps in (0.100333, 0.300333):
+        yield generate(GeneratorConfig(family="portfolio", n=20, N=50, epsilon=eps, seed=2))
+
+
+@pytest.mark.parametrize("inst", list(resume_cases()), ids=lambda inst: inst.name)
+def test_resumed_bisection_matches_cold_levels(monkeypatch, inst):
+    # every lower level after the first resumes the last level's LP at its new
+    # budget; each level's answer is checked against a cold solve of the
+    # explicit LP at that budget
+    spy = MasterSpy(monkeypatch)
+    levels = []
+    real = alsox.lower_level
+
+    def recording(instance, t, **kwargs):
+        out = real(instance, t, **kwargs)
+        levels.append((t, out))
+        return out
+
+    monkeypatch.setattr(alsox, "lower_level", recording)
+    tol = Tolerances(delta2=0.0, max_iter=4)
+    rep = alsox.alsox_sharp(inst, tol=tol)
+    assert len(levels) == len(rep.steps) + 1 >= 3
+    # cold: the domain cost bound, the plain CVaR LP and the first level
+    assert spy.cold <= 3 + spy.explicit and spy.fell_back == 0
+    assert spy.resumed >= len(rep.steps)
+    assert spy.explicit == 0 or inst.N * inst.J <= 36
+    monkeypatch.undo()
+    for (t, (x, _, value)), step in zip(levels, [None] + rep.steps):
+        ref = solve_lp(build_scaled_cvar_lp(inst, np.ones(inst.N), t))
+        assert ref.status == SolveStatus.OPTIMAL
+        assert abs(value - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        assert np.allclose(x, ref.z[:inst.n], rtol=1e-9, atol=1e-9)
+        if step is not None:
+            assert step.feasible == alsox._certifies(inst, ref.z[:inst.n], tol)

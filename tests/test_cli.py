@@ -197,19 +197,17 @@ class TestToleranceFlags:
 
 
 class TestPruneEta:
-    def test_alg1_keeps_pinned_factors(self, tmp_path):
+    @staticmethod
+    def run(tmp_path, index):
+        """Corpus instance ``index``, its pin mask, the unpinned alg1 trace, and
+        the ``--prune-eta`` solution and trace documents."""
         from tests.test_acceptance import _mixed_instance
 
-        # on corpus instance 16 the unpinned run from the plain CVaR point
-        # scales two scenarios whose cost floor exceeds its incumbent; the
-        # command pins those two, as computed here
-        inst = _mixed_instance(16)
+        inst = _mixed_instance(index)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         probe = scaling_heuristic(inst, solve_cvar(inst).x)
         mask = pin_alpha_mask(scenario_cost_floors(inst), probe.incumbent.objective)
-        assert mask.sum() == 2
-        assert any(np.any(r.alpha[mask] != 1.0) for r in probe.records)
         out, trace = tmp_path / "sol.json", tmp_path / "trace.json"
         rc = main(["solve", str(path), "--method", "alg1", "--prune-eta",
                    "-o", str(out), "--trace-file", str(trace)])
@@ -217,8 +215,26 @@ class TestPruneEta:
         doc, tdoc = json.loads(out.read_text()), json.loads(trace.read_text())
         assert doc["status"] == "optimal"
         assert doc["objective"] <= tdoc["incumbent"]["objective"] + 1e-9
+        return mask, probe, doc, tdoc
+
+    def test_alg1_keeps_pinned_factors(self, tmp_path):
+        # on corpus instance 0 the command pins two scenarios that the unpinned
+        # run never scales; the runs tie, and the pinned one is returned
+        mask, probe, doc, tdoc = self.run(tmp_path, 0)
+        assert mask.sum() == 2
+        assert tdoc["incumbent"]["objective"] == probe.incumbent.objective
         for alpha in [doc["alpha"]] + [r["alpha"] for r in tdoc["records"]]:
             assert np.all(np.asarray(alpha)[mask] == 1.0)
+
+    def test_never_worse_than_plain_alg1(self, tmp_path):
+        # on corpus instance 16 the unpinned run's first step scales a scenario
+        # whose cost floor lies above its incumbent; pinned, the run stops at
+        # the plain CVaR value 7.06499, so the unpinned run (6.99731) is returned
+        mask, probe, doc, tdoc = self.run(tmp_path, 16)
+        assert mask.sum() == 2
+        assert any(np.any(r.alpha[mask] != 1.0) for r in probe.records)
+        assert doc["objective"] <= probe.incumbent.objective + 1e-9
+        assert tdoc["incumbent"]["objective"] == probe.incumbent.objective
 
 
 class TestSweepCommand:

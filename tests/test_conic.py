@@ -160,6 +160,30 @@ def test_standard_form_matches_loop_reference(seed):
     assert sf.z_of(w).tobytes() == np.array(ref).tobytes()
 
 
+def assert_live_tableau(tab, spec, bs_rtol):
+    """The live tableau is B^-1 [As | bs] over the equilibrated standard form of
+    ``spec``, with the objective row cs - cs_B B^-1 [As | bs]."""
+    sf = simplex._to_standard_form(spec)
+    As, bs = simplex._equilibrate(sf.As, sf.bs)
+    m = As.shape[0]
+    assert np.allclose(tab.sf.As, As, rtol=0, atol=1e-15)
+    assert np.allclose(tab.sf.bs, bs, rtol=bs_rtol, atol=1e-15)
+    inv = np.linalg.inv(As[:, tab.basis])
+    fresh = inv @ np.column_stack([As, bs])
+    cost = np.append(sf.cs, 0.0) - sf.cs[tab.basis] @ fresh
+    live = np.vstack([tab.T[:m], tab.T[m]])
+    assert np.allclose(live, np.vstack([fresh, cost]), rtol=0, atol=1e-9)
+
+
+def budget_lp(t, extra=0):
+    """min -x1 - 2 x2 + x3 over a box with two domain rows and the budget row
+    x1 + x2 + x3 <= t, which comes first; ``extra`` appends cutting rows."""
+    A = [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -2.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    b = [t, 1.0, 1.0, 2.5, 1.5]
+    return lp([-1.0, -2.0, 1.0], A=A[:2 + 1 + extra], b=b[:2 + 1 + extra],
+              lb=[0.0, 0.0, 0.0], ub=[3.0, 3.0, 3.0])
+
+
 class TestSimplexResume:
     """A solve resumed from an earlier optimal tableau against a cold solve."""
 
@@ -247,16 +271,21 @@ class TestSimplexResume:
         longer = appended(spec, [[1.0, 1.0]], [2.5])
         res = solve_lp(longer)
         assert simplex._warm_solve(spec, res._warm)[0] is None  # more rows than the LP
-        # another objective, other bounds, or an old row edited (a stale carrier)
+        # another objective, other bounds, or an old row's coefficients edited
         other = [LinearProgramSpec(c=[-1.0, -2.0], A=spec.A, b=spec.b, lb=spec.lb, ub=spec.ub),
                  LinearProgramSpec(c=spec.c, A=spec.A, b=spec.b, lb=spec.lb, ub=[1.0, FREE]),
-                 LinearProgramSpec(c=spec.c, A=spec.A, b=[4.0, 5.0], lb=spec.lb, ub=spec.ub)]
+                 LinearProgramSpec(c=spec.c, A=[[1.0, 2.0], [3.0, 2.0]], b=spec.b, lb=spec.lb,
+                                   ub=spec.ub)]
         for changed in other:
             carrier = solve_lp(changed)._warm
             assert simplex._warm_solve(longer, carrier)[0] is None
             assert solve_lp(longer, warm=solve_lp(changed)).objective == \
                 pytest.approx(res.objective)
         assert solve_lp(spec, warm=res).objective == pytest.approx(solve_lp(spec).objective)
+        # an old row's right-hand side edited: the carrier resumes
+        moved = LinearProgramSpec(c=spec.c, A=spec.A, b=[4.0, 5.0], lb=spec.lb, ub=spec.ub)
+        resumed = simplex._warm_solve(longer, solve_lp(moved)._warm)[0]
+        assert resumed is not None and resumed.objective == pytest.approx(res.objective)
 
     def test_carrier_is_not_consumed(self):
         # a result resumes any number of times, and each resume gives the same answer
@@ -287,16 +316,7 @@ class TestSimplexResume:
         res = solve_lp(spec, warm=first)
         assert res.iterations > 0 and res._warm is not None
         for tab in (grown, res._warm):
-            sf = simplex._to_standard_form(spec)
-            As, bs = simplex._equilibrate(sf.As, sf.bs)
-            m = As.shape[0]
-            assert np.allclose(tab.sf.As, As, rtol=0, atol=1e-15)
-            assert np.allclose(tab.sf.bs, bs, rtol=1e-15, atol=1e-15)
-            inv = np.linalg.inv(As[:, tab.basis])
-            fresh = inv @ np.column_stack([As, bs])
-            cost = np.append(sf.cs, 0.0) - sf.cs[tab.basis] @ fresh
-            live = np.vstack([tab.T[:m], tab.T[m]])
-            assert np.allclose(live, np.vstack([fresh, cost]), rtol=0, atol=1e-9)
+            assert_live_tableau(tab, spec, bs_rtol=1e-15)
 
     @pytest.mark.parametrize("where", ["rhs", "costs"])
     def test_drift_fails_certification_and_falls_back(self, monkeypatch, where):
@@ -325,6 +345,86 @@ class TestSimplexResume:
         assert len(cold_calls) == 2
         assert pivots == 0 and np.array_equal(res.z, cold.z)
         assert res.iterations == cold.iterations and res.status == SolveStatus.OPTIMAL
+        assert simplex._warm_solve(spec, first._warm)[0] is not None  # undrifted
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_changed_right_hand_sides(self, seed, k):
+        # old rows keep their coefficients but move their right-hand sides,
+        # with k rows appended or none: the resume matches a cold solve of the
+        # new LP, and its tableau is B^-1 [As | bs] recomputed from that LP
+        rng = np.random.default_rng(300 + seed)
+        n, m = 5, 7
+        A = np.vstack([np.eye(n), rng.normal(size=(m, n))])
+        b = np.concatenate([np.full(n, 4.0), rng.uniform(0.2, 1.0, size=m)])
+        spec0 = lp(rng.normal(size=n), A=A, b=b, lb=[-FREE, -FREE, 0.0, 0.0, -3.0],
+                   ub=[FREE, 2.0, FREE, 5.0, 3.0])
+        first = solve_lp(spec0)
+        moved = b + np.where(rng.uniform(size=b.size) < 0.4, rng.normal(scale=0.5, size=b.size),
+                             0.0)
+        spec = LinearProgramSpec(c=spec0.c, A=A, b=moved, lb=spec0.lb, ub=spec0.ub)
+        if k:
+            spec = appended(spec, *cutting_rows(rng, spec0, first.z, k))
+        assert_live_tableau(simplex._append_rows(first._warm, spec), spec, bs_rtol=1e-12)
+        warm, pivots = simplex._warm_solve(spec, first._warm)
+        cold = solve_lp(spec)
+        assert warm is not None, "resume fell back to the cold solve"
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert np.allclose(warm.z, cold.z, rtol=0, atol=1e-9)
+            assert_live_tableau(warm._warm, spec, bs_rtol=1e-12)
+
+    @pytest.mark.parametrize("t", [2.0, 0.7, 0.05, 0.0])
+    def test_budget_moves_like_a_bisection(self, t):
+        # one carrier resumed at budgets on both sides of its own, the budget row
+        # first as in the bisection's master
+        first = solve_lp(budget_lp(1.2))
+        for extra in (0, 2):
+            spec = budget_lp(t, extra)
+            warm, _ = simplex._warm_solve(spec, first._warm)
+            cold = solve_lp(spec)
+            assert warm is not None and warm.status == cold.status == SolveStatus.OPTIMAL
+            assert abs(warm.objective - cold.objective) <= 1e-9
+            assert np.allclose(warm.z, cold.z, rtol=0, atol=1e-9)
+
+    def test_budget_below_the_domain_minimum_gives_a_verified_ray(self, monkeypatch):
+        first = solve_lp(budget_lp(1.2))
+        rays = []
+        is_ray = simplex._is_farkas_ray
+        monkeypatch.setattr(simplex, "_is_farkas_ray",
+                            lambda *a: rays.append(is_ray(*a)) or rays[-1])
+        warm, _ = simplex._warm_solve(budget_lp(-0.5), first._warm)
+        assert warm is not None and warm.status == SolveStatus.INFEASIBLE
+        assert rays == [True]
+        assert solve_lp(budget_lp(-0.5)).status == SolveStatus.INFEASIBLE
+        # the status rests on the Farkas check: without it the cold path decides
+        monkeypatch.setattr(simplex, "_is_farkas_ray", lambda *args: False)
+        assert simplex._warm_solve(budget_lp(-0.5), first._warm)[0] is None
+
+    @pytest.mark.parametrize("where", ["slacks", "costs"])
+    def test_right_hand_side_drift_falls_back(self, monkeypatch, where):
+        # drift in the slack columns (which carry B^-1 b to the new budget) or
+        # in the reduced costs fails the certificate; solve_lp answers cold
+        spec = budget_lp(0.7)
+        first = solve_lp(budget_lp(1.2))
+        tab = first._warm
+        T = tab.T.copy()
+        m, ncols = tab.basis.size, tab.sf.As.shape[1]
+        if where == "slacks":
+            T[:m, ncols - m:ncols] *= 1.01
+        else:
+            T[m, :-1] = np.where(T[m, :-1] > 0, T[m, :-1] * 1.01, 0.0)
+        drifted = replace(first, _warm=replace(tab, T=T))
+        assert simplex._warm_solve(spec, drifted._warm)[0] is None
+        cold_calls = []
+        solve_once = simplex._solve_once
+        monkeypatch.setattr(simplex, "_solve_once",
+                            lambda *a, **k: cold_calls.append(1) or solve_once(*a, **k))
+        res = solve_lp(spec, warm=drifted)
+        cold = solve_lp(spec)
+        assert len(cold_calls) == 2
+        assert np.array_equal(res.z, cold.z) and res.status == SolveStatus.OPTIMAL
         assert simplex._warm_solve(spec, first._warm)[0] is not None  # undrifted
 
     def test_tableau_only_on_optimal_results(self):

@@ -4,7 +4,7 @@ cost floors, and factor pinning."""
 import numpy as np
 import pytest
 
-from cvarscale import Tolerances, g_max_all
+from cvarscale import Tolerances, cvar, g_max_all, scaling
 from cvarscale.bench import GeneratorConfig, generate
 from cvarscale.cvar import solve_cvar, solve_scaled_cvar
 from cvarscale.errors import ConditionViolated, DimensionMismatch
@@ -18,6 +18,7 @@ from cvarscale.scaling import (
     scenario_cost_floors,
 )
 from tests.conftest import single_row_instance
+from tests.test_cvar_cuts import MasterSpy
 
 
 def small_corpus(count=20):
@@ -165,6 +166,36 @@ class TestHeuristic:
         for inst, sol in small_corpus(6):
             trace = scaling_heuristic(inst, sol.x)
             assert trace.incumbent.objective == pytest.approx(trace.objectives.min())
+
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(family="portfolio", n=20, N=200, epsilon=0.100333, seed=2),
+        GeneratorConfig(family="covering", n=20, N=60, J=3, epsilon=0.100333, seed=2),
+        GeneratorConfig(family="portfolio", n=20, N=50, epsilon=0.100333, seed=3),
+        GeneratorConfig(family="portfolio", n=20, N=50, epsilon=0.300333, seed=3),
+    ], ids=lambda cfg: f"{cfg.family}-N{cfg.N}-eps{cfg.epsilon}")
+    def test_carried_cuts_match_cold_solves(self, monkeypatch, cfg):
+        # the binding cuts of each solve, re-weighted at the next factors, seed
+        # the next solve; the trace matches one whose solves all start cold
+        inst = generate(cfg)
+        tol = Tolerances(max_iter=4)
+        x0 = solve_cvar(inst, tol).x
+        seeded = []
+        reweighted = cvar._reweighted_cut
+        monkeypatch.setattr(cvar, "_reweighted_cut",
+                            lambda *a: seeded.append(1) or reweighted(*a))
+        spy = MasterSpy(monkeypatch)
+        carried = scaling_heuristic(inst, x0, tol)
+        carried_solves, explicit = spy.cold + spy.resumed, spy.explicit
+        monkeypatch.setattr(scaling, "_HingeMaster", lambda: None)
+        spy.cold = spy.resumed = spy.explicit = 0
+        cold = scaling_heuristic(inst, x0, tol)
+        assert len(carried.records) == len(cold.records) >= 3
+        for a, b in zip(carried.records, cold.records):
+            assert abs(a.objective - b.objective) <= 1e-9 * max(1.0, abs(b.objective))
+            assert np.allclose(a.alpha, b.alpha, rtol=1e-9, atol=0)
+        assert carried.termination == cold.termination
+        assert seeded and explicit == spy.explicit == 0
+        assert carried_solves < spy.cold + spy.resumed
 
 
 class TestCostFloors:
