@@ -2,7 +2,8 @@
 
 Subcommands: validate, solve, certify, sweep, generate, bench.  Exit codes:
 0 on success / a feasible result, 1 when the requested problem is infeasible,
-2 on input errors, 3 on solver failures.
+2 on input errors, 3 on solver failures.  ``bench`` records a failed cell in
+its report with an empty value and writes the error to standard error.
 """
 
 from __future__ import annotations
@@ -253,6 +254,10 @@ def cmd_bench(args) -> int:
         rows = [row for chunk in chunks for row in chunk]
     else:
         rows = bench_mod.run_experiment(instances, methods, tol)
+    for r in rows:
+        if r.error:
+            print(f"failed cell: instance {r.instance}, method {r.method}: {r.error}",
+                  file=sys.stderr)
     text = bench_mod.write_report(rows, args.out)
     if not args.out:
         print(text, end="")

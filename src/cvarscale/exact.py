@@ -4,7 +4,10 @@ A point is feasible exactly when the scenarios it satisfies carry mass at
 least ``1 - epsilon``, so the optimum equals the best value over all
 inclusion-minimal scenario subsets of sufficient mass of the LP that enforces
 the subset's rows.  Supersets only add constraints, so restricting the
-enumeration to minimal subsets loses nothing and prunes exponentially.
+enumeration to minimal subsets loses nothing.  They are walked as one
+LP-bounded tree of scenario prefixes (Luedtke, Ahmed & Nemhauser, "An integer
+programming approach for linear programs with probabilistic constraints",
+Math. Prog. 2010).
 
 These oracles exist to certify the approximation algorithms on small
 instances; they deliberately stop at ~20 scenarios.
@@ -12,13 +15,12 @@ instances; they deliberately stop at ~20 scenarios.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import SolveStatus, solve_lp
+from .conic import LinearProgramSpec, SolveStatus, solve_lp
 from .errors import InfeasibleProblem, SolverFailure, TooLarge
 from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible
 
@@ -30,7 +32,7 @@ class ExactResult:
     v_star: float
     x_star: np.ndarray
     satisfied_set: tuple[int, ...]  # scenario labels, 1-based
-    subproblems_solved: int
+    subproblems_solved: int  # LP solves (prefixes included), or candidates checked
 
 
 def minimal_support_size(N: int, epsilon: float) -> int:
@@ -38,61 +40,60 @@ def minimal_support_size(N: int, epsilon: float) -> int:
     return max(0, math.ceil(N * (1.0 - epsilon) - 1e-9))
 
 
-def _minimal_subsets(instance: CcpInstance):
-    """Yield inclusion-minimal subsets (as index tuples) of mass >= 1 - eps."""
-    p = instance.probs
-    N = instance.N
-    need = 1.0 - instance.epsilon
-    if np.allclose(p, p[0], rtol=0, atol=1e-12):
-        k = minimal_support_size(N, instance.epsilon)
-        yield from itertools.combinations(range(N), k)
-        return
-    # general probabilities: subset sums over all masks, minimality means
-    # that dropping the lightest member goes below the requirement
-    sums = np.zeros(1)
-    mins = np.full(1, np.inf)
-    for pi in p:
-        sums = np.concatenate([sums, sums + pi])
-        mins = np.concatenate([mins, np.minimum(mins, pi)])
-    masks = np.flatnonzero((sums >= need - 1e-12) & (sums - mins < need - 1e-12))
-    for mask in sorted(int(m) for m in masks):
-        yield tuple(i for i in range(N) if mask >> i & 1)
-
-
-def _subset_lp(instance: CcpInstance, subset):
-    """min c.x over the domain with every row of the (sorted) scenario subset."""
-    keep = np.zeros(instance.N, dtype=bool)
-    keep[list(subset)] = True
-    rows = np.repeat(keep, instance.J)
-    return solve_lp(_domain_lp(instance, instance.c, instance.w_stack[rows],
-                               -instance.d_stack[rows]))
-
-
 def brute_force_optimal(
     instance: CcpInstance, max_scenarios: int = 20, tol: Tolerances | None = None
 ) -> ExactResult:
-    """Exact optimum by enumerating minimal satisfied-scenario subsets.
+    """Exact optimum by a depth-first walk over the minimal satisfied-scenario subsets.
 
-    Ties between subsets are broken by enumeration order (lexicographically
-    smallest subset wins), making the result deterministic.  ``tol`` is
-    accepted like the other methods' but unused: the LP solves have no
-    tolerance to set.
+    A node is an increasing scenario prefix, extended one later scenario at a
+    time while the missing mass can be reached; once its mass reaches
+    ``1 - epsilon`` it is a leaf, kept if minimal (equal probabilities: the
+    k-subsets, k = ``minimal_support_size``).  Its LP is the domain rows, then
+    its scenarios' rows in order, resumed from the parent's optimal result.  A
+    leaf replaces the incumbent when lower by more than 1e-12; a prefix whose
+    LP is infeasible, or whose value less a margin above LP rounding fails that
+    test, is pruned with its subtree.  Leaves come in lexicographic order, so
+    the smallest of tied subsets wins.  ``subproblems_solved`` counts every LP,
+    prefixes included; ``tol`` is unused, the LPs having no tolerance to set.
     """
-    if instance.N > max_scenarios:
-        raise TooLarge(f"N={instance.N} exceeds the enumeration cap {max_scenarios}")
-    best_obj = np.inf
-    best_x = None
-    best_subset = None
-    solved = 0
-    for subset in _minimal_subsets(instance):
-        res = _subset_lp(instance, subset)
-        solved += 1
-        if res.status == SolveStatus.OPTIMAL and res.objective < best_obj - 1e-12:
-            best_obj = res.objective
-            best_x = res.z
-            best_subset = subset
-        elif res.status == SolveStatus.UNBOUNDED:
-            raise SolverFailure("subset LP is unbounded; the instance cost is unbounded below")
+    N, J = instance.N, instance.J
+    if N > max_scenarios:
+        raise TooLarge(f"N={N} exceeds the enumeration cap {max_scenarios}")
+    if np.allclose(instance.probs, instance.probs[0], rtol=0, atol=1e-12):
+        weight, need = np.ones(N), minimal_support_size(N, instance.epsilon)
+    else:
+        weight, need = instance.probs, 1.0 - instance.epsilon - 1e-12
+    reach = np.cumsum(weight[::-1])[::-1]  # mass of scenarios i..N-1
+    rows, rhs = instance.w_stack.reshape(N, J, instance.n), -instance.d_stack.reshape(N, J)
+    best_obj, best_x, best_subset, solved = np.inf, None, None, 0
+
+    def visit(spec, warm, prefix, mass, lightest):
+        nonlocal best_obj, best_x, best_subset, solved
+        if prefix or mass >= need:  # the domain-only root is solved only as a leaf
+            res = solve_lp(spec, warm=warm)
+            solved += 1
+            if mass >= need:
+                if res.status == SolveStatus.UNBOUNDED:
+                    raise SolverFailure("subset LP unbounded; the instance cost is unbounded below")
+                if res.optimal and res.objective < best_obj - 1e-12:
+                    best_obj, best_x, best_subset = res.objective, res.z, prefix
+                return
+            # 1e-14 (1 + |v|): twice the largest warm-vs-cold gap of a prefix LP on the corpus
+            if res.status == SolveStatus.INFEASIBLE or res.optimal and (
+                    res.objective - 1e-14 * (1.0 + abs(res.objective)) >= best_obj - 1e-12):
+                return
+            warm = res if res.optimal else None
+        for i in range(prefix[-1] + 1 if prefix else 0, N):
+            if mass + reach[i] < need:
+                return  # later scenarios reach even less
+            m, light = mass + weight[i], min(lightest, weight[i])
+            if m >= need and m - light >= need:
+                continue  # not minimal
+            visit(LinearProgramSpec(spec.c, np.vstack([spec.A, rows[i]]),
+                                    np.concatenate([spec.b, rhs[i]]), spec.lb, spec.ub),
+                  warm, prefix + (i,), m, light)
+
+    visit(_domain_lp(instance, instance.c), None, (), 0.0, np.inf)
     if best_x is None:
         raise InfeasibleProblem("every minimal-subset LP is infeasible")
     return ExactResult(

@@ -326,6 +326,20 @@ class TestGenerateAndBench:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    def test_bench_writes_failed_cells_to_stderr(self, tmp_path, capsys):
+        # exact stops at 20 scenarios; the CSV keeps its columns
+        out = tmp_path / "report.csv"
+        rc = main(["bench", "--family", "portfolio", "--n", "3", "--N", "21",
+                   "--eps-list", "0.300333", "--seeds", "1", "--budget-fraction", "0.6",
+                   "--methods", "cvar,exact", "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["failed cell: instance portfolio-n3-N21-s1, method exact: "
+                       "TooLarge: N=21 exceeds the enumeration cap 20"]
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == bench_mod.REPORT_HEADER
+        assert len(lines) == 3 and lines[2].split(",")[2:4] == ["exact", ""]
+
     def test_bench_rejects_unknown_method(self, two_scenario_file):
         assert main(["bench", "--instance", two_scenario_file,
                      "--methods", "cvar,magic"]) == 2
