@@ -110,11 +110,9 @@ def _bisect(
     instance: CcpInstance,
     t_lower: float | None,
     t_upper: float | None,
-    delta_A: float | None,
     tol: Tolerances,
     rescue,
 ) -> BisectionReport:
-    tol = tol or Tolerances()
     if t_lower is None:
         t_lower = _default_t_lower(instance)
     if t_upper is None:
@@ -124,8 +122,6 @@ def _bisect(
                 "plain CVaR approximation is infeasible; supply an explicit budget upper bound"
             )
         t_upper = cvar.objective
-    if delta_A is None:
-        delta_A = tol.delta_A
     if t_lower > t_upper + 1e-12:
         raise ValueError(f"t_lower={t_lower!r} exceeds t_upper={t_upper!r}")
 
@@ -140,7 +136,7 @@ def _bisect(
         report.x = x0
         report.objective = float(instance.c @ x0)
 
-    while t_upper - t_lower > delta_A:
+    while t_upper - t_lower > tol.delta_A:
         t = (t_lower + t_upper) / 2.0
         x, _, value = lower_level(instance, t, master=master)
         feasible = _certifies(instance, x, tol)
@@ -172,18 +168,16 @@ def alsox_sharp(
     instance: CcpInstance,
     t_lower: float | None = None,
     t_upper: float | None = None,
-    delta_A: float | None = None,
     tol: Tolerances | None = None,
 ) -> BisectionReport:
     """Plain budget bisection over the hinge-loss lower level."""
-    return _bisect(instance, t_lower, t_upper, delta_A, tol or Tolerances(), rescue=None)
+    return _bisect(instance, t_lower, t_upper, tol or Tolerances(), rescue=None)
 
 
 def alsox_sharp_scaled(
     instance: CcpInstance,
     t_lower: float | None = None,
     t_upper: float | None = None,
-    delta_A: float | None = None,
     tol: Tolerances | None = None,
 ) -> BisectionReport:
     """Budget bisection with a scaling rescue on failed feasibility checks.
@@ -214,4 +208,4 @@ def alsox_sharp_scaled(
                 return inc.x
         return None
 
-    return _bisect(instance, t_lower, t_upper, delta_A, tol, rescue=rescue)
+    return _bisect(instance, t_lower, t_upper, tol, rescue=rescue)

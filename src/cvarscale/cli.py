@@ -351,9 +351,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InfeasibleProblem, NoFeasibleIncumbent) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

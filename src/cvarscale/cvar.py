@@ -76,7 +76,8 @@ class CvarSolution:
     def optimal(self) -> bool:
         return self.status == SolveStatus.OPTIMAL
 
-    def to_dict(self, instance: CcpInstance | None = None, feas_tol: float = 1e-6) -> dict:
+    def to_dict(self, instance: CcpInstance | None = None,
+                feas_tol: float = Tolerances.feas_tol) -> dict:
         """JSON document; ``violation_prob`` counts rows above ``feas_tol``."""
         return solution_doc(
             self.objective, self.x, self.alpha, instance, feas_tol,

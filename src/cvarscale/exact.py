@@ -5,9 +5,12 @@ least ``1 - epsilon``, so the optimum equals the best value over all
 inclusion-minimal scenario subsets of sufficient mass of the LP that enforces
 the subset's rows.  Supersets only add constraints, so restricting the
 enumeration to minimal subsets loses nothing.  They are walked as one
-LP-bounded tree of scenario prefixes (Luedtke, Ahmed & Nemhauser, "An integer
+LP-bounded tree of scenario prefixes, weighted by the scenario probabilities
+whether or not they are equal (Luedtke, Ahmed & Nemhauser, "An integer
 programming approach for linear programs with probabilistic constraints",
-Math. Prog. 2010).
+Math. Prog. 2010).  "Sufficient mass" is ``model``'s rule: at least
+``1 - epsilon - model._MASS_TOL``, the slack ``chance_feasible`` forgives, so
+the oracle never sits above a point the package calls chance-feasible.
 
 These oracles exist to certify the approximation algorithms on small
 instances; they deliberately stop at ~20 scenarios.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .conic import LinearProgramSpec, SolveStatus, solve_lp
 from .errors import InfeasibleProblem, SolverFailure, TooLarge
-from .model import CcpInstance, Tolerances, _domain_lp, chance_feasible
+from .model import _MASS_TOL, CcpInstance, Tolerances, _domain_lp, chance_feasible, g_max_all
 
 __all__ = ["ExactResult", "brute_force_optimal", "grid_brute_force", "minimal_support_size"]
 
@@ -36,8 +39,9 @@ class ExactResult:
 
 
 def minimal_support_size(N: int, epsilon: float) -> int:
-    """Smallest k with k/N >= 1 - epsilon (equiprobable scenarios)."""
-    return max(0, math.ceil(N * (1.0 - epsilon) - 1e-9))
+    """Smallest k with k/N >= 1 - epsilon - ``model._MASS_TOL``: the size of
+    every minimal subset of N equiprobable scenarios."""
+    return max(0, math.ceil(N * (1.0 - epsilon - _MASS_TOL)))
 
 
 def brute_force_optimal(
@@ -46,23 +50,22 @@ def brute_force_optimal(
     """Exact optimum by a depth-first walk over the minimal satisfied-scenario subsets.
 
     A node is an increasing scenario prefix, extended one later scenario at a
-    time while the missing mass can be reached; once its mass reaches
-    ``1 - epsilon`` it is a leaf, kept if minimal (equal probabilities: the
-    k-subsets, k = ``minimal_support_size``).  Its LP is the domain rows, then
-    its scenarios' rows in order, resumed from the parent's optimal result.  A
-    leaf replaces the incumbent when lower by more than 1e-12; a prefix whose
-    LP is infeasible, or whose value less a margin above LP rounding fails that
-    test, is pruned with its subtree.  Leaves come in lexicographic order, so
-    the smallest of tied subsets wins.  ``subproblems_solved`` counts every LP,
-    prefixes included; ``tol`` is unused, the LPs having no tolerance to set.
+    time while the missing probability mass can be reached; once its mass
+    reaches ``1 - epsilon - model._MASS_TOL`` it is a leaf, kept if minimal.
+    Equal probabilities take the same walk, whose leaves are then the
+    k-subsets, k = ``minimal_support_size``.  A node's LP is the domain rows,
+    then its scenarios' rows in order, resumed from the parent's optimal
+    result.  A leaf replaces the incumbent when lower by more than 1e-12; a
+    prefix whose LP is infeasible, or whose value less a margin above LP
+    rounding fails that test, is pruned with its subtree.  Leaves come in
+    lexicographic order, so the smallest of tied subsets wins.
+    ``subproblems_solved`` counts every LP, prefixes included; ``tol`` is
+    unused, the LPs having no tolerance to set.
     """
     N, J = instance.N, instance.J
     if N > max_scenarios:
         raise TooLarge(f"N={N} exceeds the enumeration cap {max_scenarios}")
-    if np.allclose(instance.probs, instance.probs[0], rtol=0, atol=1e-12):
-        weight, need = np.ones(N), minimal_support_size(N, instance.epsilon)
-    else:
-        weight, need = instance.probs, 1.0 - instance.epsilon - 1e-12
+    weight, need = instance.probs, 1.0 - instance.epsilon - _MASS_TOL
     reach = np.cumsum(weight[::-1])[::-1]  # mass of scenarios i..N-1
     rows, rhs = instance.w_stack.reshape(N, J, instance.n), -instance.d_stack.reshape(N, J)
     best_obj, best_x, best_subset, solved = np.inf, None, None, 0
@@ -134,8 +137,7 @@ def grid_brute_force(
             best_x = c
     if best_x is None:
         raise InfeasibleProblem("no candidate is chance-feasible")
-    worst = (instance.w_stack @ best_x + instance.d_stack).reshape(instance.N, instance.J)
-    sat = np.flatnonzero(worst.max(axis=1) <= tol.feas_tol)
+    sat = np.flatnonzero(g_max_all(instance, best_x) <= tol.feas_tol)
     return ExactResult(
         v_star=best_obj,
         x_star=best_x,

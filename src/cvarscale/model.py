@@ -60,7 +60,8 @@ __all__ = [
     "load_instance",
 ]
 
-# Slack allowed on the chance-constraint mass comparison itself.
+# Slack allowed on the chance-constraint mass comparison itself: every
+# "enough mass" decision (here and in the exact oracle) reads it.
 _MASS_TOL = 1e-9
 
 
@@ -311,13 +312,13 @@ def g_max_all(instance: CcpInstance, x) -> np.ndarray:
     return rows.reshape(instance.N, instance.J).max(axis=1)
 
 
-def violation_probability(instance: CcpInstance, x, tol: float = 1e-6) -> float:
+def violation_probability(instance: CcpInstance, x, tol: float = Tolerances.feas_tol) -> float:
     """Probability mass of scenarios whose worst row exceeds ``tol`` at ``x``."""
     worst = g_max_all(instance, x)
     return float(instance.probs[worst > tol].sum())
 
 
-def chance_feasible(instance: CcpInstance, x, tol: float = 1e-6) -> bool:
+def chance_feasible(instance: CcpInstance, x, tol: float = Tolerances.feas_tol) -> bool:
     """True iff the chance constraint holds at ``x`` (violations counted above ``tol``)."""
     return violation_probability(instance, x, tol) <= instance.epsilon + _MASS_TOL
 
@@ -417,15 +418,15 @@ def certificate_point(
 def epsilon_regularity_check(instance: CcpInstance) -> RegularityStatus:
     """Best-effort check that no subset of scenario probabilities sums to epsilon.
 
-    Equiprobable instances reduce to "N * epsilon is not an integer".  General
+    Equiprobable instances reduce to "epsilon is not a multiple of 1/N".  General
     probabilities are checked by exhaustive subset sums up to N = 20; larger
-    instances report UNKNOWN (the condition is exponential to verify).
+    instances report UNKNOWN (the condition is exponential to verify).  A sum
+    within ``_MASS_TOL`` of epsilon counts as a tie, as in ``chance_feasible``.
     """
     p = instance.probs
     eps = instance.epsilon
     if np.allclose(p, p[0], rtol=0, atol=1e-12):
-        n_eps = instance.N * eps
-        if abs(n_eps - round(n_eps)) < 1e-9:
+        if abs(eps - round(instance.N * eps) / instance.N) < _MASS_TOL:
             return RegularityStatus.PERTURB_WARNING
         return RegularityStatus.PASS
     if instance.N > 20:
@@ -433,7 +434,7 @@ def epsilon_regularity_check(instance: CcpInstance) -> RegularityStatus:
     sums = np.zeros(1)
     for pi in p:
         sums = np.concatenate([sums, sums + pi])
-    if np.any(np.abs(sums - eps) < 1e-9):
+    if np.any(np.abs(sums - eps) < _MASS_TOL):
         return RegularityStatus.PERTURB_WARNING
     return RegularityStatus.PASS
 
@@ -446,10 +447,6 @@ def epsilon_regularity_check(instance: CcpInstance) -> RegularityStatus:
 def _enc(v: float):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return float(v)
-
-
-def _dec(v) -> float:
     return float(v)
 
 
@@ -484,8 +481,8 @@ def instance_from_dict(data: dict) -> CcpInstance:
         )
         dom = data["domain"]
         domain = Domain(
-            lb=np.array([_dec(v) for v in dom["lb"]]),
-            ub=np.array([_dec(v) for v in dom["ub"]]),
+            lb=np.array([float(v) for v in dom["lb"]]),
+            ub=np.array([float(v) for v in dom["ub"]]),
             P=None if dom.get("P") is None else np.array(dom["P"], dtype=float),
             q=None if dom.get("q") is None else np.array(dom["q"], dtype=float),
         )
@@ -496,13 +493,12 @@ def instance_from_dict(data: dict) -> CcpInstance:
             domain=domain,
             name=str(data.get("name", "instance")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        for key in ("n", "N", "J"):
+            declared, actual = int(data[key]), getattr(inst, key)
+            if declared != actual:
+                raise DimensionMismatch(f"declared {key}={declared} but arrays give {actual}")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed instance document: {exc}") from exc
-    for key in ("n", "N", "J"):
-        declared = int(data[key])
-        actual = getattr(inst, key if key != "n" else "n")
-        if declared != actual:
-            raise DimensionMismatch(f"declared {key}={declared} but arrays give {actual}")
     return inst
 
 

@@ -13,11 +13,14 @@ relaxes the scenarios currently strictly satisfied (all others keep factor
 one, which keeps the cone count small) and then hands its factors to the
 plain scaling heuristic for a final refinement.
 
-Each subproblem is solved at the cone solver's own accuracy.  The loop
-keeps its scaling factors and re-solves the scaled CVaR LP at them; that
-LP's exact vertex replaces the cone point unless its value exceeds the cone
-value by more than 1e-6, which keeps the recorded objectives monotone below
-the cone solver's noise.
+Each subproblem is solved at the cone solver's own accuracy, and only an
+OPTIMAL solve becomes an iterate: any other status (ITERATION_LIMIT
+included) ends the loop with NUMERICAL_ERROR, or raises InfeasibleProblem
+when the first subproblem is infeasible.  The loop keeps its scaling
+factors and re-solves the scaled CVaR LP at them; that LP's exact vertex
+replaces the cone point unless its value exceeds the cone value by more than
+1e-6, which keeps the recorded objectives monotone below the cone solver's
+noise.
 
 From the second subproblem on, the cone solve is warm-started
 (``solve_socp``'s ``warm``) from the previous subproblem's result and the
@@ -207,7 +210,7 @@ def _sca_loop(
                 raise SolverFailure("anchor admissibility violated; subproblem is malformed")
             warm = (z_prev, res)
         res = solve_socp(spec, warm=warm)
-        if res.status in (SolveStatus.OPTIMAL, SolveStatus.ITERATION_LIMIT) and res.z is not None:
+        if res.optimal:
             x, beta, s, alpha = _extract(instance, relax_idx, res.z, tol.alpha_max)
             objective = res.objective
             # polish: re-solve the scaled LP at the extracted factors.  The

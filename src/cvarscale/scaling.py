@@ -294,7 +294,8 @@ def scenario_cost_floors(instance: CcpInstance) -> np.ndarray:
     return floors
 
 
-def pin_alpha_mask(floors: np.ndarray, v_upper: float, feas_tol: float = 1e-6) -> np.ndarray:
+def pin_alpha_mask(floors: np.ndarray, v_upper: float,
+                   feas_tol: float = Tolerances.feas_tol) -> np.ndarray:
     """Scenarios whose cost floor exceeds the upper bound can keep factor one.
 
     If even the cheapest point satisfying scenario i costs more than a known

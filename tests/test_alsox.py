@@ -40,7 +40,7 @@ class TestLowerLevel:
 
 class TestPlainBisection:
     def test_two_scenario_contract(self, two_scenario):
-        rep = alsox_sharp(two_scenario, t_lower=0.0, t_upper=2.0, delta_A=0.05)
+        rep = alsox_sharp(two_scenario, t_lower=0.0, t_upper=2.0, tol=Tolerances(delta_A=0.05))
         # the optimal value is 1 and the plain approximation gives 2; the
         # final upper bound must land in between and carry a feasible point
         assert 1.0 - 1e-9 <= rep.t_upper <= 2.0 + 1e-9
@@ -50,7 +50,7 @@ class TestPlainBisection:
         assert rep.t_upper - rep.t_lower <= 0.05 + 1e-12
 
     def test_three_scenario_contract(self, three_scenario):
-        rep = alsox_sharp(three_scenario, t_lower=0.0, t_upper=3.0, delta_A=0.05)
+        rep = alsox_sharp(three_scenario, t_lower=0.0, t_upper=3.0, tol=Tolerances(delta_A=0.05))
         assert 2.0 - 1e-9 <= rep.t_upper <= 3.0 + 1e-9
         assert chance_feasible(three_scenario, rep.x, 1e-6)
 
@@ -102,8 +102,8 @@ class TestScaledBisection:
         # covering pair where the hinge minimizer spreads effort but a scaled
         # certificate exists: satisfying the cheap scenario alone is optimal
         inst = single_row_instance([1.0], [[-1.0], [-1.0]], [1.0, 2.0], 0.6, "step-line")
-        plain = alsox_sharp(inst, t_lower=0.0, t_upper=None, delta_A=0.02)
-        scaled = alsox_sharp_scaled(inst, t_lower=0.0, t_upper=None, delta_A=0.02)
+        plain = alsox_sharp(inst, t_lower=0.0, t_upper=None, tol=Tolerances(delta_A=0.02))
+        scaled = alsox_sharp_scaled(inst, t_lower=0.0, t_upper=None, tol=Tolerances(delta_A=0.02))
         assert scaled.t_upper <= plain.t_upper + 1e-9
         if any(s.rescued for s in scaled.steps):
             assert scaled.t_upper < plain.t_upper - 1e-9

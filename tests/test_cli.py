@@ -50,6 +50,19 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("edit", [lambda d: d.pop("n"), lambda d: d.update(N=None),
+                                      lambda d: d.update(N=0, scenarios=[], probs=[])],
+                             ids=["no-n", "null-N", "no-scenarios"])
+    def test_malformed_header_is_an_input_error(self, edit, two_scenario_file, capsys):
+        with open(two_scenario_file) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(two_scenario_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", two_scenario_file]) == 2
+        assert main(["solve", two_scenario_file, "--method", "cvar"]) == 2
+        assert capsys.readouterr().err.count("input error: malformed instance document") == 2
+
 
 class TestSolveCommand:
     def test_plain(self, two_scenario_file, tmp_path, capsys):

@@ -346,3 +346,60 @@ class TestWalkMatchesReference:
                     _reference_optimal(inst)
                 with pytest.raises(InfeasibleProblem):
                     brute_force_optimal(inst)
+
+
+# ---------------------------------------------------------------------------
+# One mass rule: the walk's leaves against ``chance_feasible``
+# ---------------------------------------------------------------------------
+
+
+def _thresholds(offsets, probs, epsilon):
+    """min x over [0, 20] with scenario i the row x >= offsets[i]."""
+    scen = tuple(Scenario(W=[[-1.0]], d=[float(d)], p=float(p)) for d, p in zip(offsets, probs))
+    return CcpInstance(c=[1.0], scenarios=scen, epsilon=epsilon, domain=Domain.box([0.0], [20.0]))
+
+
+GRID = [[float(v)] for v in range(21)]
+
+
+class TestMassRule:
+    def test_oracle_meets_chance_feasible(self):
+        # eps = 0.3 - 5e-11: x = 6 satisfies scenarios 1..7, which violates
+        # mass 0.3 (equal) or 0.3 - 3.3e-11 (perturbed), within the 1e-9
+        # ``chance_feasible`` forgives; the walk must accept that leaf too
+        for probs in ([0.1] * 10, [0.1 + 1e-10] + [0.1 - 1.1e-11] * 9):
+            inst = _thresholds(range(10), probs, 0.3 - 5e-11)
+            assert chance_feasible(inst, [6.0])
+            res = brute_force_optimal(inst)
+            assert res.v_star == pytest.approx(6.0)
+            assert res.satisfied_set == tuple(range(1, 8))
+            assert grid_brute_force(inst, GRID).v_star == pytest.approx(6.0)
+
+    def test_dirichlet_ties_agree_with_the_grid(self):
+        # epsilon within 1e-10 of the mass of the scenarios above a threshold,
+        # on either side: the walk and the grid oracle read one mass rule
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            N = int(rng.integers(4, 11))
+            offsets = rng.integers(0, 21, size=N)
+            probs = rng.dirichlet(np.ones(N))
+            above = offsets > rng.choice(offsets)
+            if not above.any():
+                continue
+            inst = _thresholds(offsets, probs,
+                               float(probs[above].sum()) + rng.uniform(-1e-10, 1e-10))
+            res = brute_force_optimal(inst)
+            grid = grid_brute_force(inst, GRID)
+            assert res.v_star <= grid.v_star + 1e-9, (offsets, probs, inst.epsilon)
+            assert chance_feasible(inst, res.x_star)
+
+    def test_support_size_is_the_leaf_size(self, monkeypatch):
+        # N = 10 equal probabilities: at N * eps = 3 and within the mass
+        # slack of it, then away from a tie
+        for epsilon, k in ((0.3, 7), (0.3 - 5e-10, 7), (0.3 + 5e-10, 7), (0.35, 7), (0.25, 8)):
+            inst = _thresholds(range(10), [0.1] * 10, epsilon)
+            with monkeypatch.context() as m:
+                subsets = _spy_subsets(inst, m)
+                res = brute_force_optimal(inst)
+            assert minimal_support_size(10, epsilon) == k, epsilon
+            assert len(res.satisfied_set) == max(map(len, subsets)) == k, epsilon

@@ -305,6 +305,20 @@ class TestRegularity:
                            domain=Domain.nonnegative(1))
         assert epsilon_regularity_check(miss) == RegularityStatus.PASS
 
+    def test_ties_within_the_mass_slack(self):
+        # eps = 0.3 - 5e-10 lies 5e-10 from 3/10 (ten equal probabilities) and
+        # from the subset sum 0.1 + 0.2, inside the slack ``chance_feasible``
+        # forgives
+        eps = 0.3 - 5e-10
+        equal = CcpInstance(c=[1.0], epsilon=eps, domain=Domain.nonnegative(1),
+                            scenarios=tuple(Scenario(W=[[0.0]], d=[0.0], p=0.1)
+                                            for _ in range(10)))
+        general = CcpInstance(c=[1.0], epsilon=eps, domain=Domain.nonnegative(1),
+                              scenarios=tuple(Scenario(W=[[0.0]], d=[0.0], p=p)
+                                              for p in (0.1, 0.2, 0.3, 0.4)))
+        assert epsilon_regularity_check(equal) == RegularityStatus.PERTURB_WARNING
+        assert epsilon_regularity_check(general) == RegularityStatus.PERTURB_WARNING
+
     def test_large_general_unknown(self):
         rng = np.random.default_rng(0)
         p = rng.dirichlet(np.ones(25))

@@ -414,3 +414,26 @@ def test_stalled_subproblem_reports_iterations_run(monkeypatch):
                if res.status == SolveStatus.ITERATION_LIMIT]
     assert stalled
     assert all(8 <= r.iterations < 200 for r in stalled)
+
+
+def test_iteration_limit_ends_the_loop(monkeypatch):
+    # only an OPTIMAL cone solve becomes an iterate: the second subproblem,
+    # returned as ITERATION_LIMIT with its point, is not recorded
+    from dataclasses import replace
+
+    import cvarscale.sca as sca_mod
+    from tests.test_acceptance import RUN_TOL, _mixed_instance
+
+    calls = []
+
+    def second_hits_the_cap(spec, *, warm=None):
+        res = solve_socp(spec, warm=warm)
+        calls.append(res)
+        return replace(res, status=SolveStatus.ITERATION_LIMIT) if len(calls) == 2 else res
+
+    monkeypatch.setattr(sca_mod, "solve_socp", second_hits_the_cap)
+    inst = _mixed_instance(2)
+    trace = sequential_convex(inst, solve_cvar(inst, RUN_TOL).x, RUN_TOL)
+    assert [r.k for r in trace.records] == [0, 1]
+    assert trace.termination == Termination.NUMERICAL_ERROR
+    assert calls[1].z is not None and len(calls) == 2
